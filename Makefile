@@ -15,8 +15,14 @@ vet:
 lint:
 	$(GO) run ./cmd/ratlint ./...
 
+# perfbench is its own module (the end-to-end benchmark driver); it
+# compiles against internal/obs, server, wire, core, explore and api,
+# so an API change that breaks it fails here, not at the next
+# benchmark run.
 test: vet
 	$(GO) test ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./...
@@ -28,20 +34,19 @@ bench:
 # Refresh the committed micro-benchmark baseline (BENCH_5.json) from
 # the hot-path benchmarks. Run on a quiet machine; commit the result.
 # BenchmarkServerPredict with no anchor matches the whole served-path
-# family: steady-state, Uncached, CachedHit, Binary, Traced, Tenanted.
+# family: Uncached, CachedHit, Binary, Traced, Tenanted.
 bench-baseline:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkServerPredict' -benchmem -count=1 . ./internal/server \
 	  | $(GO) run ./cmd/benchcheck -emit BENCH_5.json -note "make bench-baseline"
 
 # Gate the current tree against the committed baseline: fails on a
 # >20% ns/op or bytes/op regression in the gated benchmarks (the
-# prediction kernel plus the served predict path — steady state,
-# cached hit, binary wire and tenanted, so server overhead stays
-# sub-2µs and the hit path stays at zero allocations) or any allocs/op
-# increase anywhere.
+# prediction kernel plus the served predict path — cached hit, binary
+# wire and tenanted, so server overhead stays sub-2µs and the hit path
+# stays at zero allocations) or any allocs/op increase anywhere.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkServerPredict' -benchmem -benchtime 0.5s -count=1 . ./internal/server \
-	  | $(GO) run ./cmd/benchcheck -compare BENCH_5.json -gate BenchmarkPredict,BenchmarkServerPredict,BenchmarkServerPredictCachedHit,BenchmarkServerPredictBinary,BenchmarkServerPredictTenanted
+	  | $(GO) run ./cmd/benchcheck -compare BENCH_5.json -gate BenchmarkPredict,BenchmarkServerPredictCachedHit,BenchmarkServerPredictBinary,BenchmarkServerPredictTenanted
 
 # Closed-loop load test against a locally built ratd: start the
 # daemon on LOADTEST_ADDR, wait for /healthz, drive it with ratload,

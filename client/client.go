@@ -354,8 +354,8 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 }
 
 // Status fetches the live operational snapshot of the service: QPS,
-// per-endpoint latency quantiles, cache hit ratio, batcher occupancy
-// and per-stage timing distributions. See docs/OBSERVABILITY.md for
+// per-endpoint latency quantiles, cache hit ratio and per-stage timing
+// distributions. See docs/OBSERVABILITY.md for
 // the schema.
 func (c *Client) Status(ctx context.Context) (Status, error) {
 	body, err := c.roundTrip(ctx, http.MethodGet, "/v1/status", nil, false)

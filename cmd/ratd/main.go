@@ -7,7 +7,7 @@
 //
 //	ratd [-addr :8080] [-access-log ratd.jsonl]
 //	ratd -addr 127.0.0.1:0            # ephemeral port, printed on stdout
-//	ratd -max-batch 32 -linger 1ms -cache-size 4096
+//	ratd -cache-size 4096
 //	ratd -predict-limit 128 -explore-limit 4 -admission-wait 20ms
 //	ratd -tenants tenants.json               # multi-tenant admission
 //
@@ -67,8 +67,6 @@ func serve(args []string, out io.Writer, sig <-chan os.Signal) error {
 	fs := flag.NewFlagSet("ratd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks one)")
-	maxBatch := fs.Int("max-batch", 0, "max coalesced predict batch (0 = default 16, 1 disables)")
-	linger := fs.Duration("linger", 0, "max wait for an under-filled batch (0 = default 2ms)")
 	cacheSize := fs.Int("cache-size", 0, "response cache entries (0 = default 1024, negative disables)")
 	predictLimit := fs.Int("predict-limit", 0, "concurrent /v1/predict requests (0 = default 64)")
 	batchLimit := fs.Int("batch-limit", 0, "concurrent /v1/predict/batch worksheet weight (0 = default 16)")
@@ -91,8 +89,6 @@ func serve(args []string, out io.Writer, sig <-chan os.Signal) error {
 	}
 
 	cfg := server.Config{
-		MaxBatch:                 *maxBatch,
-		Linger:                   *linger,
 		CacheSize:                *cacheSize,
 		PredictLimit:             *predictLimit,
 		BatchLimit:               *batchLimit,

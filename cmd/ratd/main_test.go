@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -121,6 +123,8 @@ func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"stray-arg"},
+		{"-max-batch", "16"},
+		{"-linger", "1ms"},
 	} {
 		var out, errOut syncBuffer
 		if code := run(args, &out, &errOut, nil); code != 2 {
@@ -206,22 +210,18 @@ func TestAccessLogFlushOnDrain(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	code := make(chan int, 1)
 	go func() {
-		// A long linger holds single predicts in the batcher, so the
-		// request below is reliably in flight when the signal lands.
-		code <- run([]string{"-addr", "127.0.0.1:0", "-access-log", logPath,
-			"-max-batch", "16", "-linger", "300ms"}, &out, &errOut, sig)
+		code <- run([]string{"-addr", "127.0.0.1:0", "-access-log", logPath}, &out, &errOut, sig)
 	}()
 	addr := listenAddr(t, &out)
 
+	// The request body is a pipe the test writes only after the drain
+	// has begun: /v1/predict admits before it reads the body, so the
+	// request is reliably in flight when the signal lands.
 	const trace = "00000000deadbeef-00000001"
+	bodyR, bodyW := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		var body bytes.Buffer
-		if err := worksheet.EncodeJSON(&body, paper.PDF1DParams()); err != nil {
-			done <- err
-			return
-		}
-		req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/predict", &body)
+		req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/predict", bodyR)
 		if err != nil {
 			done <- err
 			return
@@ -235,9 +235,36 @@ func TestAccessLogFlushOnDrain(t *testing.T) {
 		resp.Body.Close()
 		done <- nil
 	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !inflightPredict(t, addr) {
+		if time.Now().After(deadline) {
+			t.Fatal("predict request never showed up in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-	time.Sleep(100 * time.Millisecond) // request is now lingering in the batcher
 	sig <- syscall.SIGTERM
+	// Shutdown closes the listener first; once dials are refused the
+	// drain is under way with the request still held open.
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after SIGTERM")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var body bytes.Buffer
+	if err := worksheet.EncodeJSON(&body, paper.PDF1DParams()); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		bodyW.Write(body.Bytes())
+		bodyW.Close()
+	}()
 	if c := <-code; c != 0 {
 		t.Fatalf("exit code %d\nstderr: %s", c, errOut.String())
 	}
@@ -263,4 +290,25 @@ func TestAccessLogFlushOnDrain(t *testing.T) {
 	if !found {
 		t.Errorf("drained access log lacks the in-flight request's line:\n%s", data)
 	}
+}
+
+// inflightPredict reports whether ratd's /metrics listing shows an
+// admitted /v1/predict request.
+func inflightPredict(t *testing.T, addr string) bool {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	listing, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(listing), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[1] == "server.inflight.predict" {
+			return f[2] == "1"
+		}
+	}
+	return false
 }

@@ -433,7 +433,6 @@ type Status struct {
 
 	Endpoints map[string]EndpointStatus `json:"endpoints"`
 	Cache     CacheStatus               `json:"cache"`
-	Batcher   BatcherStatus             `json:"batcher"`
 	Stages    map[string]StageStatus    `json:"stages"`
 
 	// Tenants is present only on multi-tenant servers: one entry per
@@ -469,15 +468,6 @@ type CacheStatus struct {
 	Misses   int64   `json:"misses"`
 	HitRatio float64 `json:"hit_ratio"`
 	Entries  float64 `json:"entries"`
-}
-
-// BatcherStatus summarizes the coalescing batcher. MeanOccupancy is
-// the average coalesced batch size (1 when batching is disabled or
-// traffic never overlaps).
-type BatcherStatus struct {
-	Batches       int64   `json:"batches"`
-	Coalesced     int64   `json:"coalesced_requests"`
-	MeanOccupancy float64 `json:"mean_occupancy"`
 }
 
 // StageStatus summarizes one pipeline stage's latency distribution.

@@ -111,6 +111,24 @@ func PredictMulti(p Parameters, cfg MultiConfig) (MultiPrediction, error) {
 	return mp, nil
 }
 
+// multiFields names the multi-FPGA quantities CheckFinite inspects
+// after the single-device baseline.
+var multiFields = [...]string{
+	"TComm", "TComp", "TRCSingle", "TRCDouble",
+	"SpeedupSingle", "SpeedupDouble", "ScalingEfficiency",
+}
+
+// CheckFinite is Prediction.CheckFinite for the multi-FPGA output: the
+// single-device baseline first, then the scaled quantities.
+func (mp MultiPrediction) CheckFinite() error {
+	if err := mp.Single.CheckFinite(); err != nil {
+		return err
+	}
+	return firstNonFinite(multiFields[:],
+		mp.TComm, mp.TComp, mp.TRCSingle, mp.TRCDouble,
+		mp.SpeedupSingle, mp.SpeedupDouble, mp.ScalingEfficiency)
+}
+
 // ScalingKnee returns the device count beyond which a shared-channel
 // system is communication-bound under double buffering — the point
 // where t_comp/N drops below the fixed t_comm and additional FPGAs

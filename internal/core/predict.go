@@ -194,3 +194,45 @@ func (pr Prediction) MaxSpeedup() float64 {
 	}
 	return pr.Params.Soft.TSoft / (float64(pr.Params.Soft.Iterations) * pr.TComm)
 }
+
+// predictionFields names the derived quantities CheckFinite inspects,
+// in the order it inspects them.
+var predictionFields = [...]string{
+	"TWrite", "TRead", "TComm", "TComp", "TRCSingle", "TRCDouble",
+	"SpeedupSingle", "SpeedupDouble",
+	"UtilCompSB", "UtilCommSB", "UtilCompDB", "UtilCommDB",
+}
+
+// CheckFinite returns nil when every derived quantity of the
+// prediction is a finite number, else an error wrapping
+// ErrInvalidParameters that names the first one that is not.
+// Validate checks the inputs one field at a time, so a worksheet whose
+// every field is in range can still overflow a product:
+// BytesPerElement 1e300 with ElementsIn 2^40 makes TWrite +Inf and
+// UtilCommSB NaN. Serving surfaces call this after the kernel, so such
+// a worksheet is a client error rather than a non-finite answer.
+func (pr Prediction) CheckFinite() error {
+	// x*0 is 0 for finite x and NaN for an infinity or NaN, so one
+	// branch-free sum clears the common case; only a failure walks
+	// the quantities to name one.
+	if pr.TWrite*0+pr.TRead*0+pr.TComm*0+pr.TComp*0+pr.TRCSingle*0+pr.TRCDouble*0+
+		pr.SpeedupSingle*0+pr.SpeedupDouble*0+
+		pr.UtilCompSB*0+pr.UtilCommSB*0+pr.UtilCompDB*0+pr.UtilCommDB*0 == 0 {
+		return nil
+	}
+	return firstNonFinite(predictionFields[:],
+		pr.TWrite, pr.TRead, pr.TComm, pr.TComp, pr.TRCSingle, pr.TRCDouble,
+		pr.SpeedupSingle, pr.SpeedupDouble,
+		pr.UtilCompSB, pr.UtilCommSB, pr.UtilCompDB, pr.UtilCommDB)
+}
+
+// firstNonFinite returns the invalid-parameters error naming the first
+// of vs that is NaN or infinite; names[i] names vs[i].
+func firstNonFinite(names []string, vs ...float64) error {
+	for i, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return paramError(names[i], "must be finite", v)
+		}
+	}
+	return nil
+}

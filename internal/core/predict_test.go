@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/chrec/rat/internal/core"
@@ -328,5 +329,49 @@ func TestDerivedQuantities(t *testing.T) {
 	q := paper.PDF1DParams()
 	if got := q.TotalOps(); got != 400*512*768 {
 		t.Errorf("TotalOps = %g, want %d", got, 400*512*768)
+	}
+}
+
+// TestCheckFinite: a worksheet whose every field passes Validate can
+// still overflow a derived quantity; CheckFinite names the first one
+// as an invalid-parameters error, for the single and multi outputs.
+func TestCheckFinite(t *testing.T) {
+	for _, c := range []paper.Case{paper.PDF1D, paper.PDF2D, paper.MD} {
+		pr := core.MustPredict(paper.Params(c))
+		if err := pr.CheckFinite(); err != nil {
+			t.Errorf("%s: canonical prediction rejected: %v", c, err)
+		}
+		mp, err := core.PredictMulti(paper.Params(c), core.MultiConfig{Devices: 4, Topology: core.SharedChannel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mp.CheckFinite(); err != nil {
+			t.Errorf("%s: canonical multi prediction rejected: %v", c, err)
+		}
+	}
+
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	if err := p.Validate(); err != nil {
+		t.Fatalf("overflowing worksheet must pass field validation: %v", err)
+	}
+	pr, err := core.Predict(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = pr.CheckFinite()
+	if !errors.Is(err, core.ErrInvalidParameters) {
+		t.Fatalf("CheckFinite = %v, want an ErrInvalidParameters error", err)
+	}
+	if !strings.Contains(err.Error(), "TWrite") {
+		t.Errorf("CheckFinite error %q does not name TWrite, the first non-finite quantity", err)
+	}
+	mp, err := core.PredictMulti(p, core.MultiConfig{Devices: 2, Topology: core.SharedChannel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mp.CheckFinite(); !errors.Is(err, core.ErrInvalidParameters) || !strings.Contains(err.Error(), "TWrite") {
+		t.Errorf("multi CheckFinite = %v, want an ErrInvalidParameters error naming TWrite", err)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -58,17 +57,6 @@ func TestNewIDsNonZero(t *testing.T) {
 		if NewSpanID() == (SpanID{}) {
 			t.Fatal("NewSpanID returned zero")
 		}
-	}
-}
-
-func TestTraceContext(t *testing.T) {
-	if From(context.Background()) != nil {
-		t.Error("From(empty ctx) != nil")
-	}
-	tr := &Trace{ID: NewTraceID(), Span: NewSpanID()}
-	ctx := With(context.Background(), tr)
-	if got := From(ctx); got != tr {
-		t.Errorf("From returned %p, want %p", got, tr)
 	}
 }
 

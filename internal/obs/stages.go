@@ -10,13 +10,17 @@ import (
 
 // Stage names one segment of the serving pipeline. The set matches the
 // request's journey through ratd: admission queueing, response-cache
-// lookup, coalescing-batcher linger, the prediction kernel, and
-// response encoding.
+// lookup, the prediction kernel, and response encoding.
 type Stage int
 
 const (
 	StageAdmission Stage = iota
 	StageCache
+	// StageBatchWait is reserved and never recorded: ratd answers each
+	// predict with a direct kernel call, so there is no batch to wait
+	// for. It keeps its slot so X-Rat-Stages stays a five-field value
+	// and readers indexing by NumStages keep compiling; it always
+	// reads 0.
 	StageBatchWait
 	StageKernel
 	StageEncode

@@ -1,20 +1,17 @@
 // Package obs is the request-observability substrate of the RAT
 // prediction service: compact trace identifiers propagated end to end
-// (client -> X-Rat-Trace header -> context.Context -> every serving
-// stage), and sharded, lock-free per-stage latency histograms cheap
-// enough to run on the cached-hit hot path.
+// (client -> X-Rat-Trace header -> every serving stage), and sharded,
+// lock-free per-stage latency histograms cheap enough to run on the
+// cached-hit hot path.
 //
 // The design keeps the instrumented fast path allocation-free: a Trace
 // is a plain value the server embeds in storage it already allocates
 // per request, stage recording is a handful of atomic adds, and header
-// parsing never touches the heap. Only carrying the Trace through a
-// context (one context.WithValue node) costs an allocation, and only
-// on traced requests. See docs/OBSERVABILITY.md for the header
-// contract and the exported metric families.
+// parsing never touches the heap. See docs/OBSERVABILITY.md for the
+// header contract and the exported metric families.
 package obs
 
 import (
-	"context"
 	"encoding/hex"
 	"math/rand/v2"
 	"time"
@@ -200,22 +197,4 @@ func appendInt(buf []byte, v int64) []byte {
 		v /= 10
 	}
 	return append(buf, tmp[i:]...)
-}
-
-// ctxKey is the private context key type for Trace propagation.
-type ctxKey struct{}
-
-// With returns a context carrying the trace. The caller keeps
-// ownership of tr; With is the only allocation on the traced path (one
-// context node).
-func With(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, tr)
-}
-
-// From returns the trace carried by ctx, or nil when the request is
-// untraced. Callers must treat nil as "record nothing per-request" and
-// keep feeding the global StageSet.
-func From(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(ctxKey{}).(*Trace)
-	return tr
 }

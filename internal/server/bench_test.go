@@ -91,30 +91,13 @@ func predictPayload(b *testing.B) []byte {
 	return body.Bytes()
 }
 
-// BenchmarkServerPredict measures the steady-state in-process request
-// path of POST /v1/predict under the default configuration —
-// middleware, admission, raw-alias cache hit, write — the per-request
-// overhead ratd adds in production once traffic repeats. Gated in
-// BENCH_5.json on ns/op, allocs/op AND bytes/op; the design budget is
-// under 2µs and at most 8 allocations per request.
-func BenchmarkServerPredict(b *testing.B) {
-	srv := New(Config{MaxBatch: 1})
-	ph := newPredictHarness(srv.Handler(), predictPayload(b), nil)
-	ph.warm(b) // first run fills the cache; the rest is the hot path
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ph.run(b)
-	}
-}
-
 // BenchmarkServerPredictUncached disables the cache so every iteration
 // runs the whole pipeline: wire decode, kernel, wire encode. Response
 // rendering is bit-for-bit encoding/json, so most of this time is
 // irreducible shortest-form float formatting (strconv's ryu) — the
 // binary benchmark below shows the same path without it.
 func BenchmarkServerPredictUncached(b *testing.B) {
-	srv := New(Config{MaxBatch: 1, CacheSize: -1})
+	srv := New(Config{CacheSize: -1})
 	ph := newPredictHarness(srv.Handler(), predictPayload(b), nil)
 	ph.warm(b)
 	b.ReportAllocs()
@@ -124,12 +107,15 @@ func BenchmarkServerPredictUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkServerPredictCachedHit is the steady-state hot path: the
-// response bytes come straight out of the LRU. The whole request —
-// middleware, admission, decode, cache lookup, write — performs zero
-// allocations; BENCH_5.json pins allocs/op at exactly 0.
+// BenchmarkServerPredictCachedHit measures the steady-state
+// in-process request path of POST /v1/predict under the default
+// configuration — middleware, admission, raw-alias cache hit, write —
+// the per-request overhead ratd adds in production once traffic
+// repeats. The response bytes come straight out of the LRU and the
+// whole request performs zero allocations. Gated in BENCH_5.json on
+// ns/op, allocs/op AND bytes/op (allocs/op pinned at exactly 0).
 func BenchmarkServerPredictCachedHit(b *testing.B) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	ph := newPredictHarness(srv.Handler(), predictPayload(b), nil)
 	ph.warm(b) // first run fills the cache
 	b.ReportAllocs()
@@ -139,12 +125,12 @@ func BenchmarkServerPredictCachedHit(b *testing.B) {
 	}
 }
 
-// BenchmarkServerPredictBinary is BenchmarkServerPredict with both
-// sides of the exchange in the binary wire format (Content-Type and
+// BenchmarkServerPredictBinary is BenchmarkServerPredictUncached with
+// both sides of the exchange in the binary wire format (Content-Type and
 // Accept: application/x-rat-bin): fixed-width frames instead of JSON
 // text in either direction.
 func BenchmarkServerPredictBinary(b *testing.B) {
-	srv := New(Config{MaxBatch: 1, CacheSize: -1})
+	srv := New(Config{CacheSize: -1})
 	payload := wire.AppendBinaryWorksheet(nil, paper.PDF1DParams())
 	hdr := http.Header{
 		"Content-Type": []string{wire.ContentTypeBinary},
@@ -166,7 +152,7 @@ func BenchmarkServerPredictBinary(b *testing.B) {
 // request header itself is attached as a pre-built map so the
 // comparison isolates the server side. Gated in BENCH_5.json.
 func BenchmarkServerPredictTraced(b *testing.B) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	hdr := obs.FormatTraceHeader(obs.NewTraceID(), obs.NewSpanID())
 	ph := newPredictHarness(srv.Handler(), predictPayload(b),
 		http.Header{obs.TraceHeader: []string{hdr}})
@@ -193,7 +179,7 @@ func BenchmarkServerPredictTenanted(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := New(Config{MaxBatch: 1, Tenants: reg})
+	srv := New(Config{Tenants: reg})
 	ph := newPredictHarness(srv.Handler(), predictPayload(b),
 		http.Header{"Authorization": []string{"Bearer bk"}})
 	ph.warm(b)

@@ -13,16 +13,13 @@ import (
 // untouched):
 //
 //	level 1: explore candidate ceiling /4
-//	level 2: + ceiling /16, batcher linger ×4 (bulk coalesces harder)
-//	level 3: + ceiling /64, linger ×8, response-cache fill disabled
+//	level 2: ceiling /16
+//	level 3: ceiling /64, response-cache fill disabled
 const maxBrownoutLevel = 3
 
 // brownoutCeilingShift maps a level to the right-shift applied to the
 // server's explore candidate ceiling (1, /4, /16, /64).
 var brownoutCeilingShift = [maxBrownoutLevel + 1]uint{0, 2, 4, 6}
-
-// brownoutLingerScale maps a level to the batcher linger multiplier.
-var brownoutLingerScale = [maxBrownoutLevel + 1]int32{1, 1, 4, 8}
 
 // brownout is the overload degradation controller. It watches the
 // overload-shed rate (capacity 429s from admission, NOT per-tenant
@@ -39,7 +36,6 @@ type brownout struct {
 	window    time.Duration
 	enterFrac float64
 	quiet     time.Duration
-	onChange  func(level int32) // called outside the mutex on every transition
 
 	level atomic.Int32
 
@@ -56,7 +52,7 @@ type brownout struct {
 
 // newBrownout builds the controller. window <= 0, enterFrac <= 0 and
 // quiet <= 0 take the defaults (1s, 0.05, 5s).
-func newBrownout(reg *telemetry.Registry, window time.Duration, enterFrac float64, quiet time.Duration, onChange func(int32)) *brownout {
+func newBrownout(reg *telemetry.Registry, window time.Duration, enterFrac float64, quiet time.Duration) *brownout {
 	if window <= 0 {
 		window = time.Second
 	}
@@ -70,7 +66,6 @@ func newBrownout(reg *telemetry.Registry, window time.Duration, enterFrac float6
 		window:    window,
 		enterFrac: enterFrac,
 		quiet:     quiet,
-		onChange:  onChange,
 		levelG:    reg.Gauge("rat_brownout_level"),
 		raised:    reg.Counter("rat_brownout_raised_total"),
 		lowered:   reg.Counter("rat_brownout_lowered_total"),
@@ -140,9 +135,6 @@ func (b *brownout) setLevel(from, to int32) {
 		b.raised.Inc()
 	} else {
 		b.lowered.Inc()
-	}
-	if b.onChange != nil {
-		b.onChange(to)
 	}
 }
 

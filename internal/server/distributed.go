@@ -31,17 +31,15 @@ const maxDistributedWorkers = 64
 // tenanted fleet every shard is charged to the tenant that asked for
 // the exploration.
 func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(w)
-	t0 := time.Now()
+	clk := s.stageClock(w)
+	clk.start()
 	weight, ok := s.admExplore.admit(r.Context(), 1)
 	if !ok {
 		writeTooBusy(w, "/v1/explore/distributed")
 		return
 	}
 	defer s.admExplore.release(weight)
-	if tr != nil {
-		s.stageTr(tr, obs.StageAdmission, time.Since(t0))
-	}
+	clk.stop(obs.StageAdmission)
 	if err := r.Context().Err(); err != nil {
 		writeError(w, httpStatus(err), err)
 		return
@@ -103,24 +101,20 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		writeError(w, distStatus(err), err)
 		return
 	}
-	if tr != nil {
-		s.stageTr(tr, obs.StageKernel, res.Elapsed)
-	}
+	clk.record(obs.StageKernel, res.Elapsed)
 
-	t0 = time.Now()
+	clk.start()
 	resp := api.DistributedExploreResponse{
 		ExploreResponse: api.ExploreResponseFromCore(res, req.Explore.Frontier),
 		Cluster:         stats.API(),
 	}
 	out, err := jsonMarshal(resp)
-	if tr != nil {
-		s.stageTr(tr, obs.StageEncode, time.Since(t0))
-	}
+	clk.stop(obs.StageEncode)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	setStagesHeaderTr(w, r, tr)
+	clk.setHeader(w, r)
 	writeJSONBytes(w, out)
 }
 

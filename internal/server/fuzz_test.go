@@ -38,8 +38,13 @@ func FuzzDecodeWorksheetRequest(f *testing.F) {
 	f.Add(`{"computation": {"clock_mhz": 1e309}}`, "", "")
 	f.Add(`{"software": {"tsoft_seconds": "NaN"}}`, "", "")
 	f.Add(strings.Replace(valid.String(), `"elements_in": 512`, `"elements_in": 1e99`, 1), "2", "")
+	// Every field in range, but t_write overflows to +Inf.
+	overflow := strings.Replace(valid.String(), `"elements_in": 512`, `"elements_in": 1099511627776`, 1)
+	overflow = strings.Replace(overflow, `"bytes_per_element": 4`, `"bytes_per_element": 1e300`, 1)
+	f.Add(overflow, "", "")
+	f.Add(overflow, "2", "")
 
-	srv := New(Config{MaxBatch: 1, CacheSize: -1}) // direct path: no linger in the fuzz loop
+	srv := New(Config{CacheSize: -1})
 	handler := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, body, devices, topology string) {

@@ -184,26 +184,20 @@ func decodePredictRequest(body []byte, devicesQ, topologyQ string) (core.Paramet
 // The whole path runs over pooled buffers through the hand-rolled
 // internal/wire codec: a steady-state cache hit performs zero
 // allocations, and a cache miss only pays the kernel plus the response
-// render. Per-stage clocks (admission, cache, batch_wait, kernel,
-// encode) are read only when the request carries a trace identity;
-// untraced requests skip all stage bookkeeping.
+// render. The stage clock times admission, cache, kernel and encode
+// for traced requests only.
 //
 //rat:hotpath
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(w)
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	clk := s.stageClock(w)
+	clk.start()
 	weight, ok := s.admPredict.admit(r.Context(), 1)
 	if !ok {
 		writeTooBusy(w, "/v1/predict")
 		return
 	}
 	defer s.admPredict.release(weight)
-	if tr != nil {
-		s.stageTr(tr, obs.StageAdmission, time.Since(t0))
-	}
+	clk.stop(obs.StageAdmission)
 	if err := r.Context().Err(); err != nil {
 		writeError(w, httpStatus(err), err) // admitted after disconnect: abandon, never execute late
 		return
@@ -227,16 +221,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// bytes is answered from the raw-alias index without decoding the
 	// worksheet at all.
 	if s.cache != nil {
-		if tr != nil {
-			t0 = time.Now()
-		}
+		clk.start()
 		sc.raw = appendRawKey(sc.raw[:0], body, r.URL.RawQuery, binReq, format)
-		cached, hit := s.cache.getRaw(sc.raw)
-		if hit {
-			if tr != nil {
-				s.stageTr(tr, obs.StageCache, time.Since(t0))
-			}
-			setStagesHeaderTr(w, r, tr)
+		if cached, hit := s.cache.getRaw(sc.raw); hit {
+			clk.stop(obs.StageCache)
+			clk.setHeader(w, r)
 			writeBody(w, cached, binResp)
 			return
 		}
@@ -263,110 +252,82 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.cache != nil {
-		if tr != nil {
-			t0 = time.Now()
-		}
+		clk.start()
 		sc.key = appendCacheKey(sc.key[:0], &p, cfg, format)
 		cached, hit := s.cache.get(sc.key, sc.raw)
-		if tr != nil {
-			s.stageTr(tr, obs.StageCache, time.Since(t0))
-		}
+		clk.stop(obs.StageCache)
 		if hit {
-			setStagesHeaderTr(w, r, tr)
+			clk.setHeader(w, r)
 			writeBody(w, cached, binResp)
 			return
 		}
 	}
 
+	// The kernel is the validating core.Predict/PredictMulti; a result
+	// that overflowed to a non-finite number is the worksheet's fault
+	// (400), checked before anything is rendered or cached.
 	sc.out = sc.out[:0]
 	if cfg.Devices == 1 {
 		var pr core.Prediction
-		if s.batcher.coalescing() {
-			// Only the coalescing path can actually wait, so only it
-			// needs a deadline-carrying context.
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.PredictTimeout)
-			if tr != nil {
-				t0 = time.Now()
-			}
-			var kernelNs int64
-			pr, kernelNs, err = s.batcher.predict(ctx, p)
-			cancel()
-			if tr != nil {
-				wait := time.Since(t0) - time.Duration(kernelNs)
-				if wait < 0 {
-					wait = 0
-				}
-				s.stageTr(tr, obs.StageBatchWait, wait)
-				s.stageTr(tr, obs.StageKernel, time.Duration(kernelNs))
-			}
-		} else {
-			if tr != nil {
-				t0 = time.Now()
-			}
-			pr, err = core.Predict(p)
-			if tr != nil {
-				s.stageTr(tr, obs.StageKernel, time.Since(t0))
-			}
+		clk.start()
+		pr, err = core.Predict(p)
+		clk.stop(obs.StageKernel)
+		if err == nil {
+			err = pr.CheckFinite()
 		}
 		if err != nil {
 			writeError(w, httpStatus(err), err)
 			return
 		}
-		if tr != nil {
-			t0 = time.Now()
-		}
+		clk.start()
 		apiPr := api.PredictionFromCore(pr)
 		if binResp {
 			sc.out = wire.AppendBinaryPrediction(sc.out, &apiPr)
 		} else {
 			sc.out, err = wire.AppendPrediction(sc.out, &apiPr)
 		}
-		if tr != nil {
-			s.stageTr(tr, obs.StageEncode, time.Since(t0))
+		clk.stop(obs.StageEncode)
+	} else {
+		var mp core.MultiPrediction
+		clk.start()
+		mp, err = core.PredictMulti(p, cfg)
+		clk.stop(obs.StageKernel)
+		if err == nil {
+			err = mp.CheckFinite()
 		}
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			writeError(w, httpStatus(err), err)
 			return
 		}
-	} else {
-		if tr != nil {
-			t0 = time.Now()
-		}
-		mp, merr := core.PredictMulti(p, cfg)
-		if tr != nil {
-			s.stageTr(tr, obs.StageKernel, time.Since(t0))
-		}
-		if merr != nil {
-			writeError(w, httpStatus(merr), merr)
-			return
-		}
-		if tr != nil {
-			t0 = time.Now()
-		}
+		clk.start()
 		apiMp := api.MultiPredictionFromCore(mp)
 		if binResp {
 			sc.out = wire.AppendBinaryMultiPrediction(sc.out, &apiMp)
 		} else {
-			sc.out, merr = wire.AppendMultiPrediction(sc.out, &apiMp)
+			sc.out, err = wire.AppendMultiPrediction(sc.out, &apiMp)
 		}
-		if tr != nil {
-			s.stageTr(tr, obs.StageEncode, time.Since(t0))
-		}
-		if merr != nil {
-			writeError(w, http.StatusInternalServerError, merr)
-			return
-		}
+		clk.stop(obs.StageEncode)
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 	if s.cache != nil && s.cacheFillAllowed() {
 		s.cache.put(sc.key, sc.raw, sc.out)
 	}
-	setStagesHeaderTr(w, r, tr)
+	clk.setHeader(w, r)
 	writeBody(w, sc.out, binResp)
 }
 
-// batchSlabs pools the parameter/prediction slabs behind
-// /v1/predict/batch so steady-state batch serving reuses storage
-// rather than allocating per request.
+// slab is the pooled parameter/prediction storage of one
+// /v1/predict/batch request.
+type slab struct {
+	ps  []core.Parameters
+	out []core.Prediction
+}
+
+// batchSlabs pools the slabs behind /v1/predict/batch so steady-state
+// batch serving reuses storage rather than allocating per request.
 var batchSlabs = sync.Pool{New: func() any { return &slab{} }}
 
 // handleBatch serves POST /v1/predict/batch: an array of worksheets —
@@ -378,7 +339,7 @@ var batchSlabs = sync.Pool{New: func() any { return &slab{} }}
 //
 //rat:hotpath
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(w)
+	clk := s.stageClock(w)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	body, err := sc.readBody(r.Body, s.cfg.MaxBodyBytes)
@@ -418,19 +379,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Weight admission by worksheet count: a 1000-worksheet batch
 	// holds proportionally more of the endpoint's capacity than a
 	// 2-worksheet one (clamped to the endpoint limit).
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	clk.start()
 	weight, ok := s.admBatch.admit(r.Context(), int64(len(sl.ps)))
 	if !ok {
 		writeTooBusy(w, "/v1/predict/batch")
 		return
 	}
 	defer s.admBatch.release(weight)
-	if tr != nil {
-		s.stageTr(tr, obs.StageAdmission, time.Since(t0))
-	}
+	clk.stop(obs.StageAdmission)
 	if err := r.Context().Err(); err != nil {
 		writeError(w, httpStatus(err), err) // admitted after the deadline: abandon, never execute late
 		return
@@ -441,22 +397,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sl.out = sl.out[:len(sl.ps)]
 
-	// PredictBatch validates every worksheet up front; the error names
-	// the offending index and wraps ErrInvalidParameters.
-	if tr != nil {
-		t0 = time.Now()
-	}
+	// PredictBatch validates every worksheet up front; its errors, like
+	// checkFiniteBatch's, name the offending index and wrap
+	// ErrInvalidParameters.
+	clk.start()
 	err = core.PredictBatch(sl.ps, sl.out)
-	if tr != nil {
-		s.stageTr(tr, obs.StageKernel, time.Since(t0))
+	clk.stop(obs.StageKernel)
+	if err == nil {
+		err = checkFiniteBatch(sl.out)
 	}
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	if tr != nil {
-		t0 = time.Now()
-	}
+	clk.start()
 	binResp := r.Header.Get("Accept") == wire.ContentTypeBinary
 	sc.out = sc.out[:0]
 	if binResp {
@@ -464,15 +418,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	} else {
 		sc.out, err = wire.AppendPredictions(sc.out, sl.out)
 	}
-	if tr != nil {
-		s.stageTr(tr, obs.StageEncode, time.Since(t0))
-	}
+	clk.stop(obs.StageEncode)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	setStagesHeaderTr(w, r, tr)
+	clk.setHeader(w, r)
 	writeBody(w, sc.out, binResp)
+}
+
+// checkFiniteBatch is core.Prediction.CheckFinite over a batch, with
+// the failing worksheet's index in the error as PredictBatch reports
+// validation failures.
+func checkFiniteBatch(preds []core.Prediction) error {
+	for i := range preds {
+		if err := preds[i].CheckFinite(); err != nil {
+			return fmt.Errorf("batch index %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // handleExplore serves POST /v1/explore: a bounded grid search via
@@ -482,17 +446,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // top candidates, then frontier candidates when requested, then a
 // summary line.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	tr := traceOf(w)
-	t0 := time.Now()
+	clk := s.stageClock(w)
+	clk.start()
 	weight, ok := s.admExplore.admit(r.Context(), 1)
 	if !ok {
 		writeTooBusy(w, "/v1/explore")
 		return
 	}
 	defer s.admExplore.release(weight)
-	if tr != nil {
-		s.stageTr(tr, obs.StageAdmission, time.Since(t0))
-	}
+	clk.stop(obs.StageAdmission)
 	if err := r.Context().Err(); err != nil {
 		writeError(w, httpStatus(err), err) // admitted after the deadline: abandon, never execute late
 		return
@@ -580,32 +542,28 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	// The engine measures its own elapsed time; that is the kernel
 	// stage of an exploration request.
-	if tr != nil {
-		s.stageTr(tr, obs.StageKernel, res.Elapsed)
-	}
+	clk.record(obs.StageKernel, res.Elapsed)
 
 	if stream {
-		s.writeExploreJSONL(w, r, tr, res, req.Frontier, wantSpans)
+		clk.setHeader(w, r)
+		writeExploreJSONL(w, res, req.Frontier, wantSpans)
 		return
 	}
-	t0 = time.Now()
+	clk.start()
 	out, err := jsonMarshal(api.ExploreResponseFromCore(res, req.Frontier))
-	if tr != nil {
-		s.stageTr(tr, obs.StageEncode, time.Since(t0))
-	}
+	clk.stop(obs.StageEncode)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	setStagesHeaderTr(w, r, tr)
+	clk.setHeader(w, r)
 	writeJSONBytes(w, out)
 }
 
 // writeExploreJSONL streams an exploration result as JSONL. Span lines
 // (per-shard engine timing) are emitted only when asked for — older
 // consumers treat unknown line kinds as an error.
-func (s *Server) writeExploreJSONL(w http.ResponseWriter, r *http.Request, tr *obs.Trace, res explore.Result, frontier, spans bool) {
-	setStagesHeaderTr(w, r, tr)
+func writeExploreJSONL(w http.ResponseWriter, res explore.Result, frontier, spans bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	emit := func(line api.ExploreLine) bool { return enc.Encode(line) == nil }

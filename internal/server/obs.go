@@ -106,36 +106,64 @@ func (m *redMetrics) observe(ep endpointClass, code int, elapsed time.Duration) 
 	c.Inc()
 }
 
-// traceOf returns the request's Trace when it has an identity (an
-// incoming X-Rat-Trace, or one minted for logging), else nil. Handlers
-// gate ALL per-stage bookkeeping — the time.Now() reads included — on
-// the returned pointer, so an untraced request pays zero clock reads
-// between admission and encode.
-func traceOf(w http.ResponseWriter) *obs.Trace {
+// stageClock times the pipeline stages of one request. It is the one
+// place that decides whether a stage is timed: only a request with a
+// trace identity (an incoming X-Rat-Trace, or one minted for the
+// access log) reads the clock, so an untraced request pays no clock
+// reads between admission and write. It is a plain value on the
+// handler's stack: no closure, no interface, no allocation.
+type stageClock struct {
+	stages *obs.StageSet
+	tr     *obs.Trace // nil when untraced: every method is a no-op
+	t0     time.Time
+}
+
+// stageClock returns the clock of the request being answered on w.
+// Stages it records feed the server-wide rat_stage_seconds histograms
+// and the request's Trace (X-Rat-Stages, the access log's stages_ns).
+func (s *Server) stageClock(w http.ResponseWriter) stageClock {
+	c := stageClock{stages: &s.stages}
 	if sw, ok := w.(*statusWriter); ok && sw.tr.Valid() {
-		return &sw.tr
+		c.tr = &sw.tr
 	}
-	return nil
+	return c
 }
 
-// stageTr records one pipeline-stage latency into the server-wide
-// histograms and the request's Trace. Callers only invoke it with a
-// non-nil Trace (see traceOf), so rat_stage_seconds samples traced
-// requests — every request when access logging is on, since logging
-// mints an identity.
-func (s *Server) stageTr(tr *obs.Trace, st obs.Stage, d time.Duration) {
-	s.stages.Observe(st, d)
-	tr.Add(st, d)
+// start marks the beginning of a stage.
+func (c *stageClock) start() {
+	if c.tr != nil {
+		c.t0 = time.Now()
+	}
 }
 
-// setStagesHeaderTr answers the opt-in X-Rat-Stages request header
-// with the per-stage breakdown accumulated so far. Callers invoke it
-// after the last stage is recorded and before the body is written.
-func setStagesHeaderTr(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
-	if tr == nil || r.Header.Get(obs.StagesHeader) == "" {
+// stop records the time since the last start as stage st.
+func (c *stageClock) stop(st obs.Stage) {
+	if c.tr != nil {
+		c.lap(st)
+	}
+}
+
+// lap is the traced half of stop, kept out of line so that stop
+// inlines and an untraced request pays only the nil check.
+func (c *stageClock) lap(st obs.Stage) { c.record(st, time.Since(c.t0)) }
+
+// record records a stage duration measured elsewhere (the explore
+// engine times its own run).
+func (c *stageClock) record(st obs.Stage, d time.Duration) {
+	if c.tr != nil {
+		c.stages.Observe(st, d)
+		c.tr.Add(st, d)
+	}
+}
+
+// setHeader answers the opt-in X-Rat-Stages request header with the
+// per-stage breakdown recorded so far. Callers invoke it after the
+// last stage and before the body is written.
+func (c *stageClock) setHeader(w http.ResponseWriter, r *http.Request) {
+	if c.tr == nil || r.Header.Get(obs.StagesHeader) == "" {
 		return
 	}
-	w.Header().Set(obs.StagesHeader, tr.StagesValue())
+	w.Header().Set(obs.StagesHeader, c.tr.StagesValue())
 }
 
 // handleStatus serves GET /v1/status: the live operational snapshot
@@ -181,14 +209,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		if hits+misses > 0 {
 			st.Cache.HitRatio = float64(hits) / float64(hits+misses)
 		}
-	}
-	bs := s.batcher.sizeHist.Stats()
-	st.Batcher = api.BatcherStatus{
-		Batches:   s.batcher.batches.Value(),
-		Coalesced: s.batcher.coalesced.Value(),
-	}
-	if bs.Count > 0 {
-		st.Batcher.MeanOccupancy = bs.Sum / float64(bs.Count)
 	}
 	if t := s.tenancy; t != nil {
 		st.Tenants = make(map[string]api.TenantStatus, t.reg.Len())

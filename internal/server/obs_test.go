@@ -28,7 +28,7 @@ func predictBody(t testing.TB) []byte {
 // TestTraceHeaderEcho: a request carrying X-Rat-Trace gets the exact
 // value echoed on the response, traced or not, success or error.
 func TestTraceHeaderEcho(t *testing.T) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	h := srv.Handler()
 	hdr := obs.FormatTraceHeader(obs.NewTraceID(), obs.NewSpanID())
 
@@ -70,7 +70,6 @@ func TestTraceHeaderEcho(t *testing.T) {
 func TestTraceGeneratedWhenLogging(t *testing.T) {
 	var logBuf bytes.Buffer
 	srv := New(Config{
-		MaxBatch:     1,
 		AccessLogger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
 	})
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(predictBody(t)))
@@ -113,7 +112,7 @@ func TestTraceGeneratedWhenLogging(t *testing.T) {
 // TestStagesHeaderOptIn: the per-stage breakdown comes back only when
 // asked for via X-Rat-Stages, and only on traced requests.
 func TestStagesHeaderOptIn(t *testing.T) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	h := srv.Handler()
 	hdr := obs.FormatTraceHeader(obs.NewTraceID(), obs.NewSpanID())
 
@@ -157,7 +156,7 @@ func TestStagesHeaderOptIn(t *testing.T) {
 // conformance validator. The legacy listing must survive untouched on
 // the default path.
 func TestMetricsPromConformance(t *testing.T) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	h := srv.Handler()
 	for i := 0; i < 3; i++ {
 		rec := httptest.NewRecorder()
@@ -221,7 +220,7 @@ func TestMetricsPromConformance(t *testing.T) {
 // carry a trace header because stage bookkeeping only runs for traced
 // requests (untraced ones skip the clock reads entirely).
 func TestStatusEndpoint(t *testing.T) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	h := srv.Handler()
 	hdr := obs.FormatTraceHeader(obs.NewTraceID(), obs.NewSpanID())
 	for i := 0; i < 4; i++ { // 1 miss + 3 hits
@@ -275,7 +274,7 @@ func TestStatusEndpoint(t *testing.T) {
 // own accounting: serving a traced cached-hit request allocates at
 // most 2 more objects than the identical untraced request.
 func TestTracedAllocOverhead(t *testing.T) {
-	srv := New(Config{MaxBatch: 1})
+	srv := New(Config{})
 	h := srv.Handler()
 	payload := predictBody(t)
 
@@ -374,6 +373,84 @@ func TestExploreSpansOptIn(t *testing.T) {
 		}
 		if line.Kind == "span" {
 			t.Fatal("span line emitted without opt-in")
+		}
+	}
+}
+
+// TestStageAccountingPerRoute pins which stages one traced request
+// records on each route: the stage clock times admission, cache, kernel
+// and encode exactly where the handlers ran them, and batch_wait is
+// never recorded. An untraced request records nothing at all.
+func TestStageAccountingPerRoute(t *testing.T) {
+	ws := predictBody(t)
+	batch := append(append([]byte("["), ws...), ']')
+	exploreReq, err := json.Marshal(map[string]any{
+		"worksheet":  json.RawMessage(ws),
+		"clocks_mhz": []float64{50, 100, 150},
+		"top_k":      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(New(Config{}).Handler())
+	defer worker.Close()
+	distReq, err := json.Marshal(distExploreRequest([]string{worker.URL}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	adm, cache, kernel, encode := obs.StageAdmission, obs.StageCache, obs.StageKernel, obs.StageEncode
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		warm       bool // serve it once untraced first: the traced request hits the cache
+		want       []obs.Stage
+	}{
+		{"predict miss", "/v1/predict", ws, false, []obs.Stage{adm, cache, kernel, encode}},
+		{"predict hit", "/v1/predict", ws, true, []obs.Stage{adm, cache}},
+		{"predict devices", "/v1/predict?devices=4", ws, false, []obs.Stage{adm, cache, kernel, encode}},
+		{"batch", "/v1/predict/batch", batch, false, []obs.Stage{adm, kernel, encode}},
+		{"explore", "/v1/explore", exploreReq, false, []obs.Stage{adm, kernel, encode}},
+		{"explore stream", "/v1/explore?stream=jsonl", exploreReq, false, []obs.Stage{adm, kernel}},
+		{"explore distributed", "/v1/explore/distributed", distReq, false, []obs.Stage{adm, kernel, encode}},
+	} {
+		srv := New(Config{})
+		h := srv.Handler()
+		serve := func(traced bool) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body))
+			if traced {
+				req.Header.Set(obs.TraceHeader, obs.FormatTraceHeader(obs.NewTraceID(), obs.NewSpanID()))
+				req.Header.Set(obs.StagesHeader, "1")
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.String())
+			}
+			return rec
+		}
+		if tc.warm {
+			serve(false)
+			for _, st := range obs.Stages() {
+				if n := srv.stages.Count(st); n != 0 {
+					t.Errorf("%s: untraced request recorded stage %s %d times", tc.name, st, n)
+				}
+			}
+		}
+		rec := serve(true)
+		for _, st := range obs.Stages() {
+			want := int64(0)
+			for _, w := range tc.want {
+				if w == st {
+					want = 1
+				}
+			}
+			if n := srv.stages.Count(st); n != want {
+				t.Errorf("%s: stage %s recorded %d times, want %d", tc.name, st, n, want)
+			}
+		}
+		if got := rec.Header().Get(obs.StagesHeader); !strings.Contains(got, "batch_wait=0;") {
+			t.Errorf("%s: X-Rat-Stages %q does not report batch_wait=0", tc.name, got)
 		}
 	}
 }

@@ -2,14 +2,14 @@
 // HTTP/JSON daemon serving the throughput test (Eqs. 1-11), the
 // multi-FPGA extension and bounded design-space explorations from the
 // existing worksheet JSON format. The serving core is production
-// shaped: a request-coalescing batcher over the zero-allocation
-// core.PredictBatch kernel, an LRU response cache keyed by the
-// canonical worksheet bytes, weighted-semaphore admission control with
-// per-endpoint concurrency limits (saturation answers 429 +
-// Retry-After), context-propagated deadlines, panic recovery,
-// structured JSONL request logging through telemetry.EventSink, and
-// graceful drain. See docs/SERVER.md for the wire contract and the
-// operational runbook.
+// shaped: one direct call into the closed-form kernel per request
+// (core.PredictBatch per explicit batch), an LRU response cache keyed
+// by the canonical worksheet bytes, weighted-semaphore admission
+// control with per-endpoint concurrency limits (saturation answers
+// 429 + Retry-After), context-propagated deadlines, panic recovery,
+// structured JSONL request logging through log/slog, and graceful
+// drain. See docs/SERVER.md for the wire contract and the operational
+// runbook.
 package server
 
 import (
@@ -33,13 +33,6 @@ import (
 // Config tunes a Server. The zero value serves with the defaults
 // documented per field.
 type Config struct {
-	// MaxBatch is the largest coalesced predict batch; values <= 1
-	// disable coalescing. Default 16.
-	MaxBatch int
-	// Linger is how long an under-filled batch waits for company
-	// before computing anyway. Default 2ms.
-	Linger time.Duration
-
 	// CacheSize is the LRU response-cache capacity in entries; 0
 	// disables caching. Default 1024. Negative disables explicitly.
 	CacheSize int
@@ -60,7 +53,10 @@ type Config struct {
 	AdmissionWait time.Duration
 
 	// PredictTimeout and ExploreTimeout are the per-request deadlines
-	// propagated through context. Defaults 10s and 2m.
+	// propagated through context: PredictTimeout bounds
+	// /v1/predict/batch, ExploreTimeout both explore endpoints. A
+	// single /v1/predict has no wait a deadline would shorten (its
+	// admission wait is bounded by AdmissionWait). Defaults 10s and 2m.
 	PredictTimeout time.Duration
 	ExploreTimeout time.Duration
 
@@ -106,26 +102,15 @@ type Config struct {
 	// Metrics receives the serving metrics; nil allocates a private
 	// registry (exposed at /metrics either way).
 	Metrics *telemetry.Registry
-	// AccessLog, when non-nil, receives one structured event per
-	// request (kind "http", wall-clock picosecond span, detail
-	// "METHOD /path STATUS").
-	AccessLog telemetry.EventSink
 	// AccessLogger, when non-nil, receives one structured record per
 	// request with method, path, status, bytes, duration, trace_id,
 	// span_id and the per-stage latency breakdown. This is the access
-	// log ratd writes as JSONL; it supersedes AccessLog, which remains
-	// for event-pipeline consumers.
+	// log ratd writes as JSONL.
 	AccessLogger *slog.Logger
 }
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 16
-	}
-	if c.Linger == 0 {
-		c.Linger = 2 * time.Millisecond
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
@@ -171,8 +156,7 @@ type Server struct {
 	cfg Config
 	reg *telemetry.Registry
 
-	batcher *batcher
-	cache   *responseCache
+	cache *responseCache
 
 	admPredict *admission
 	admBatch   *admission
@@ -184,7 +168,6 @@ type Server struct {
 	handler  http.Handler
 	hs       *http.Server
 	draining atomic.Bool
-	seq      atomic.Int64
 	start    time.Time
 
 	panics   *telemetry.Counter
@@ -205,7 +188,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
-		batcher:    newBatcher(reg, cfg.MaxBatch, cfg.Linger),
 		cache:      newResponseCache(reg, cfg.CacheSize),
 		admPredict: newAdmission(reg, pool, clsPredict, "predict", cfg.AdmissionWait),
 		admBatch:   newAdmission(reg, pool, clsBatch, "batch", cfg.AdmissionWait),
@@ -219,24 +201,14 @@ func New(cfg Config) *Server {
 		s.tenancy = newTenancy(reg, cfg.Tenants, cfg.ExploreTokenCost)
 	}
 	// The brownout controller degrades bulk features under sustained
-	// overload: its onChange hook widens the batcher linger (levels 2+
-	// coalesce harder); the explore ceiling and cache-fill effects are
-	// read per request from the level.
-	s.brownout = newBrownout(reg, cfg.BrownoutWindow, cfg.BrownoutShedFraction, cfg.BrownoutQuiet,
-		func(level int32) {
-			if level < 0 {
-				level = 0
-			}
-			if level > maxBrownoutLevel {
-				level = maxBrownoutLevel
-			}
-			s.batcher.lingerScale.Store(brownoutLingerScale[level])
-		})
+	// overload; the explore ceiling and cache-fill effects are read per
+	// request from its level.
+	s.brownout = newBrownout(reg, cfg.BrownoutWindow, cfg.BrownoutShedFraction, cfg.BrownoutQuiet)
 	mux := http.NewServeMux()
-	// handlePredict is registered bare: the interactive path finishes in
-	// microseconds, so it manages its own deadline (a context is built
-	// only when a request actually coalesces into the batcher) instead
-	// of paying WithTimeout's allocations on every call.
+	// handlePredict is registered bare: its kernel runs in microseconds
+	// and the one wait a deadline could cut short, admission, is
+	// already bounded by AdmissionWait, so WithTimeout would only add
+	// its allocations to every call.
 	mux.HandleFunc("POST /v1/predict", s.handlePredict)
 	mux.HandleFunc("POST /v1/predict/batch", s.withTimeout(cfg.PredictTimeout, s.handleBatch))
 	mux.HandleFunc("POST /v1/explore", s.withTimeout(cfg.ExploreTimeout, s.handleExplore))
@@ -336,9 +308,8 @@ var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 // ingress/echo and structured access logging.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	latency := s.reg.Timer("server.latency")
-	logging := s.cfg.AccessLog != nil || s.cfg.AccessLogger != nil
+	logging := s.cfg.AccessLogger != nil
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seq := s.seq.Add(1)
 		s.requests.Inc()
 		ep := classifyPath(r.URL.Path)
 		s.red.inflight.Add(1)
@@ -387,17 +358,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				s.brownout.observe(start.Add(elapsed),
 					status == http.StatusTooManyRequests && !sw.quotaShed)
 			}
-			if s.cfg.AccessLog != nil {
-				s.cfg.AccessLog.Emit(telemetry.Event{
-					Kind:    "http",
-					Iter:    int(seq),
-					StartPs: start.UnixNano() * 1000,
-					EndPs:   start.Add(elapsed).UnixNano() * 1000,
-					Bytes:   sw.bytes,
-					Detail:  fmt.Sprintf("%s %s %d", r.Method, r.URL.Path, sw.status),
-				})
-			}
-			if s.cfg.AccessLogger != nil {
+			if logging {
 				s.cfg.AccessLogger.LogAttrs(context.Background(), slog.LevelInfo, "request",
 					slog.String("method", r.Method),
 					slog.String("path", r.URL.Path),
@@ -422,7 +383,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 
 // withTimeout propagates a server-enforced deadline through the
 // request context. Handlers reach the request's Trace through the
-// statusWriter (see traceOf), so no context injection is needed.
+// statusWriter (see stageClock), so no context injection is needed.
 func (s *Server) withTimeout(d time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)

@@ -17,6 +17,7 @@ import (
 	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/telemetry"
+	"github.com/chrec/rat/internal/wire"
 	"github.com/chrec/rat/internal/worksheet"
 )
 
@@ -108,25 +109,25 @@ func TestPredictMultiRoundTripBitForBit(t *testing.T) {
 	}
 }
 
-// TestBatchingCachingByteIdentical proves the serving-core machinery
-// is invisible: responses with coalescing and caching enabled are
-// byte-identical to a server with both disabled, and a cache hit
-// replays the exact bytes of the miss that filled it.
-func TestBatchingCachingByteIdentical(t *testing.T) {
-	plain := httptest.NewServer(New(Config{MaxBatch: 1, CacheSize: -1}).Handler())
+// TestCachingByteIdentical proves the response cache is invisible:
+// responses from a caching server are byte-identical to a server with
+// the cache disabled — on the misses that fill it, on raw-alias hits
+// (the same request bytes replayed) and on canonical-key hits (the
+// same worksheet in different bytes). Requests go out concurrently so
+// -race also covers the cache's locking.
+func TestCachingByteIdentical(t *testing.T) {
+	plain := httptest.NewServer(New(Config{CacheSize: -1}).Handler())
 	defer plain.Close()
-	fancy := httptest.NewServer(New(Config{MaxBatch: 8, Linger: 5 * time.Millisecond, CacheSize: 64}).Handler())
-	defer fancy.Close()
+	reg := telemetry.NewRegistry()
+	cached := httptest.NewServer(New(Config{CacheSize: 64, Metrics: reg}).Handler())
+	defer cached.Close()
 
-	worksheets := make([]core.Parameters, 16)
+	worksheets := make([][]byte, 16)
+	plainBodies := make([][]byte, len(worksheets))
 	for i := range worksheets {
 		p := paper.PDF1DParams()
 		p.Comp.ClockHz = core.MHz(float64(50 + i))
-		worksheets[i] = p
-	}
-
-	plainBodies := make([][]byte, len(worksheets))
-	for i, p := range worksheets {
+		worksheets[i] = encodeWorksheet(t, p)
 		status, body := postPredict(t, plain, p, "")
 		if status != http.StatusOK {
 			t.Fatalf("plain %d: status %d", i, status)
@@ -134,19 +135,24 @@ func TestBatchingCachingByteIdentical(t *testing.T) {
 		plainBodies[i] = body
 	}
 
-	// Fire the same worksheets at the fancy server concurrently so the
-	// coalescer actually merges them, twice so the second pass is
-	// served from cache.
-	for pass := 0; pass < 2; pass++ {
+	// Pass 0 misses and fills, pass 1 replays the same bytes (raw-alias
+	// hits), pass 2 sends each worksheet compacted (canonical-key hits).
+	for pass := 0; pass < 3; pass++ {
 		var wg sync.WaitGroup
-		fancyBodies := make([][]byte, len(worksheets))
+		bodies := make([][]byte, len(worksheets))
 		errs := make([]error, len(worksheets))
-		for i, p := range worksheets {
+		for i, ws := range worksheets {
+			if pass == 2 {
+				var compact bytes.Buffer
+				if err := json.Compact(&compact, ws); err != nil {
+					t.Fatal(err)
+				}
+				ws = compact.Bytes()
+			}
 			wg.Add(1)
-			go func(i int, p core.Parameters) {
+			go func(i int, ws []byte) {
 				defer wg.Done()
-				resp, err := http.Post(fancy.URL+"/v1/predict", "application/json",
-					bytes.NewReader(encodeWorksheet(t, p)))
+				resp, err := http.Post(cached.URL+"/v1/predict", "application/json", bytes.NewReader(ws))
 				if err != nil {
 					errs[i] = err
 					return
@@ -156,29 +162,24 @@ func TestBatchingCachingByteIdentical(t *testing.T) {
 					errs[i] = fmt.Errorf("status %d", resp.StatusCode)
 					return
 				}
-				fancyBodies[i], errs[i] = io.ReadAll(resp.Body)
-			}(i, p)
+				bodies[i], errs[i] = io.ReadAll(resp.Body)
+			}(i, ws)
 		}
 		wg.Wait()
 		for i := range worksheets {
 			if errs[i] != nil {
 				t.Fatalf("pass %d worksheet %d: %v", pass, i, errs[i])
 			}
-			if !bytes.Equal(fancyBodies[i], plainBodies[i]) {
-				t.Errorf("pass %d worksheet %d: batched/cached response differs from plain response\n got %s\nwant %s",
-					pass, i, fancyBodies[i], plainBodies[i])
+			if !bytes.Equal(bodies[i], plainBodies[i]) {
+				t.Errorf("pass %d worksheet %d: cached response differs from uncached response\n got %s\nwant %s",
+					pass, i, bodies[i], plainBodies[i])
 			}
 		}
 	}
 
-	resp, err := http.Get(fancy.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	text, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(text), "server.cache_hits") {
-		t.Errorf("/metrics does not expose cache counters:\n%s", text)
+	snap := reg.Snapshot()
+	if hits, misses := snap.Counters["server.cache_hits"], snap.Counters["server.cache_misses"]; hits != 32 || misses != 16 {
+		t.Errorf("cache hits/misses = %d/%d, want 32/16", hits, misses)
 	}
 }
 
@@ -393,6 +394,65 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteWorksheetRejected: a worksheet whose every field passes
+// validation but whose derived quantities overflow (t_write +Inf,
+// util_comm NaN) is a 400 naming the first such quantity on every
+// predict route in both wire formats — never a 5xx, never a 200
+// carrying a non-finite number.
+func TestNonFiniteWorksheetRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	bad := paper.PDF1DParams()
+	bad.Dataset.BytesPerElement = 1e300
+	bad.Dataset.ElementsIn = 1 << 40
+	good := paper.PDF2DParams()
+	jsonBatch := append(append(append([]byte("["), encodeWorksheet(t, good)...), ','), encodeWorksheet(t, bad)...)
+	jsonBatch = append(jsonBatch, ']')
+
+	for _, route := range []struct {
+		path      string
+		json, bin []byte
+		want      string
+	}{
+		{"/v1/predict", encodeWorksheet(t, bad), wire.AppendBinaryWorksheet(nil, bad), "TWrite must be finite"},
+		{"/v1/predict?devices=2", encodeWorksheet(t, bad), wire.AppendBinaryWorksheet(nil, bad), "TWrite must be finite"},
+		{"/v1/predict/batch", jsonBatch, wire.AppendBinaryWorksheets(nil, []core.Parameters{good, bad}), "batch index 1: "},
+	} {
+		for _, bin := range []bool{false, true} {
+			body := route.json
+			if bin {
+				body = route.bin
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+route.path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bin {
+				req.Header.Set("Content-Type", wire.ContentTypeBinary)
+				req.Header.Set("Accept", wire.ContentTypeBinary)
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e api.Error
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil {
+				t.Errorf("%s binary=%v: status %d body %q, want a 400 JSON error", route.path, bin, resp.StatusCode, out)
+				continue
+			}
+			if !strings.Contains(e.Error, route.want) || !strings.Contains(e.Error, "TWrite") {
+				t.Errorf("%s binary=%v: error %q does not name the overflowing quantity (want %q)", route.path, bin, e.Error, route.want)
+			}
+		}
+	}
+}
+
 // TestAdmissionControlBurst pins the acceptance criterion: with a
 // predict concurrency limit of N, a burst of 4N requests admits at
 // most N at a time (telemetry high-water mark) and answers the
@@ -401,11 +461,6 @@ func TestAdmissionControlBurst(t *testing.T) {
 	const limit = 4
 	reg := telemetry.NewRegistry()
 	srv := New(Config{
-		// A large batch plus long linger holds every admitted request
-		// in flight long enough for the burst to pile up behind the
-		// semaphore.
-		MaxBatch:      1024,
-		Linger:        300 * time.Millisecond,
 		CacheSize:     -1,
 		PredictLimit:  limit,
 		AdmissionWait: 10 * time.Millisecond,
@@ -414,18 +469,21 @@ func TestAdmissionControlBurst(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// Every body is a pipe the test has not written yet. The handler
+	// admits before it reads the body, so the first N requests hold
+	// their slots while the rest of the burst queues behind them.
 	const burst = 4 * limit
 	statuses := make([]int, burst)
 	retryAfter := make([]string, burst)
+	writers := make([]*io.PipeWriter, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
+		pr, pw := io.Pipe()
+		writers[i] = pw
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p := paper.PDF1DParams()
-			p.Comp.ClockHz = core.MHz(float64(100 + i))
-			resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-				bytes.NewReader(encodeWorksheet(t, p)))
+			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", pr)
 			if err != nil {
 				statuses[i] = -1
 				return
@@ -435,6 +493,18 @@ func TestAdmissionControlBurst(t *testing.T) {
 			statuses[i] = resp.StatusCode
 			retryAfter[i] = resp.Header.Get("Retry-After")
 		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Snapshot().Counters["server.rejected.predict"] < burst-limit && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	for i, pw := range writers {
+		p := paper.PDF1DParams()
+		p.Comp.ClockHz = core.MHz(float64(100 + i))
+		go func(pw *io.PipeWriter, body []byte) {
+			pw.Write(body)
+			pw.Close()
+		}(pw, encodeWorksheet(t, p))
 	}
 	wg.Wait()
 
@@ -452,20 +522,14 @@ func TestAdmissionControlBurst(t *testing.T) {
 			t.Errorf("request %d: unexpected status %d", i, st)
 		}
 	}
-	if ok200+busy429 != burst {
-		t.Fatalf("accounted %d of %d requests", ok200+busy429, burst)
-	}
-	if ok200 < limit {
-		t.Errorf("only %d requests succeeded; at least the admitted %d must", ok200, limit)
-	}
-	if busy429 == 0 {
-		t.Error("burst of 4N produced no 429s; admission control is not limiting")
+	if ok200 != limit || busy429 != burst-limit {
+		t.Errorf("200s/429s = %d/%d, want %d/%d: the %d held requests must be the only ones admitted",
+			ok200, busy429, limit, burst-limit, limit)
 	}
 
 	snap := reg.Snapshot()
-	peak := snap.Gauges["server.inflight_peak.predict"]
-	if peak == 0 || peak > limit {
-		t.Errorf("inflight peak gauge = %v, want in (0, %d]", peak, limit)
+	if peak := snap.Gauges["server.inflight_peak.predict"]; peak != limit {
+		t.Errorf("inflight peak gauge = %v, want %d", peak, limit)
 	}
 	if snap.Counters["server.rejected.predict"] != int64(busy429) {
 		t.Errorf("rejected counter = %d, want %d", snap.Counters["server.rejected.predict"], busy429)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net"
 	"net/http"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -200,55 +199,4 @@ func TestShutdownBeforeServe(t *testing.T) {
 	if !srv.Draining() {
 		t.Error("Draining() false after Shutdown")
 	}
-}
-
-// TestAccessLogEvents checks the structured request log: one event per
-// request with the method/path/status detail line.
-func TestAccessLogEvents(t *testing.T) {
-	var sink memorySink
-	srv := New(Config{AccessLog: &sink})
-	url, served := startServer(t, srv)
-
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	<-served
-
-	events := sink.take()
-	if len(events) != 1 {
-		t.Fatalf("access log has %d events, want 1", len(events))
-	}
-	e := events[0]
-	if e.Kind != "http" || e.Detail != "GET /healthz 200" {
-		t.Errorf("event = kind %q detail %q, want http / GET /healthz 200", e.Kind, e.Detail)
-	}
-	if e.EndPs < e.StartPs {
-		t.Errorf("event span inverted: [%d, %d]", e.StartPs, e.EndPs)
-	}
-}
-
-// memorySink collects emitted events for assertions.
-type memorySink struct {
-	mu     sync.Mutex
-	events []telemetry.Event
-}
-
-func (m *memorySink) Emit(e telemetry.Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.events = append(m.events, e)
-}
-
-func (m *memorySink) take() []telemetry.Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]telemetry.Event(nil), m.events...)
 }

@@ -474,10 +474,7 @@ func TestTenantMetricsValidProm(t *testing.T) {
 // window/hysteresis arithmetic without a single sleep.
 func TestBrownoutControllerLadder(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var lingerScale int32 = 1
-	b := newBrownout(reg, time.Second, 0.05, 5*time.Second, func(level int32) {
-		lingerScale = brownoutLingerScale[level]
-	})
+	b := newBrownout(reg, time.Second, 0.05, 5*time.Second)
 	now := time.Unix(1000, 0)
 
 	// Window 1: 10% shed — one step up.
@@ -507,9 +504,6 @@ func TestBrownoutControllerLadder(t *testing.T) {
 	if got := b.Level(); got != 3 {
 		t.Fatalf("level after sustained shedding = %d, want 3 (saturated)", got)
 	}
-	if lingerScale != brownoutLingerScale[3] {
-		t.Errorf("onChange lingerScale = %d, want %d", lingerScale, brownoutLingerScale[3])
-	}
 
 	// Quiet windows past the hysteresis: steps back down one per
 	// window, never below 0.
@@ -522,9 +516,6 @@ func TestBrownoutControllerLadder(t *testing.T) {
 	}
 	if got := b.Level(); got != 0 {
 		t.Fatalf("level after sustained quiet = %d, want 0", got)
-	}
-	if lingerScale != 1 {
-		t.Errorf("onChange lingerScale after recovery = %d, want 1", lingerScale)
 	}
 
 	snap := reg.Snapshot()
@@ -541,8 +532,8 @@ func TestBrownoutControllerLadder(t *testing.T) {
 
 // TestBrownoutDegradesBulkNotPredict pins the effects ladder end to
 // end: at level 3 the explore ceiling has stepped down /64, cache
-// fill is off, the linger is widened — and the predict path still
-// serves bit-identical responses.
+// fill is off — and the predict path still serves bit-identical
+// responses.
 func TestBrownoutDegradesBulkNotPredict(t *testing.T) {
 	// A huge brownout window so real request traffic in this test can
 	// never roll a window and disturb the forced level.
@@ -559,9 +550,6 @@ func TestBrownoutDegradesBulkNotPredict(t *testing.T) {
 	}
 	if srv.cacheFillAllowed() {
 		t.Error("cache fill still allowed at level 3")
-	}
-	if got := srv.batcher.lingerScale.Load(); got != brownoutLingerScale[3] {
-		t.Errorf("lingerScale at level 3 = %d, want %d", got, brownoutLingerScale[3])
 	}
 
 	// An exploration over the degraded ceiling is refused 413...

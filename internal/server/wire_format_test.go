@@ -245,7 +245,7 @@ func TestWireFormatBatchParity(t *testing.T) {
 // requested in both formats — in both orders, so each format fills
 // the cache first once — always answers in the asked-for encoding.
 func TestCacheKeepsFormatsApart(t *testing.T) {
-	ts := httptest.NewServer(New(Config{MaxBatch: 1}).Handler())
+	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
 
 	p := paper.PDF1DParams()
