@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/chrec/rat/internal/explore"
+	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/server"
+	"github.com/chrec/rat/internal/worksheet"
 )
 
 // startFleet boots n in-process ratd instances and returns their URLs.
@@ -170,5 +174,25 @@ func TestUsageContract(t *testing.T) {
 		"-shard-timeout", "200ms", "-timeout", "5s", "-clocks", "75"}
 	if code := run(args, &out, &errOut); code != 1 {
 		t.Errorf("unreachable fleet: exit %d, want 1 (%s)", code, errOut.String())
+	}
+
+	// So is a worksheet whose derived numbers overflow (t_comm +Inf):
+	// it is refused before the fleet is contacted.
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	path := filepath.Join(t.TempDir(), "ws.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := worksheet.EncodeJSON(f, p); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	errOut.Reset()
+	args = []string{"explore", "-workers", "http://127.0.0.1:1", "-worksheet", path}
+	if code := run(args, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "TComm") {
+		t.Errorf("overflowing worksheet: exit %d (%s), want 1 naming TComm", code, errOut.String())
 	}
 }

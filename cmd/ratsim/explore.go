@@ -157,6 +157,12 @@ func exploreBase(study, wsFile string) (core.Parameters, error) {
 		if err != nil {
 			return core.Parameters{}, fmt.Errorf("worksheet %s: %w", wsFile, err)
 		}
+		// Fields that each validate can still overflow the worksheet's
+		// own derived numbers: bad input data (exit 1), not a flag
+		// mistake like an overflowing axis value.
+		if err := (explore.Grid{Base: p}).Validate(); err != nil {
+			return core.Parameters{}, fmt.Errorf("worksheet %s: %w", wsFile, err)
+		}
 		return p, nil
 	}
 	switch study {

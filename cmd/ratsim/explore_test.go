@@ -110,3 +110,32 @@ func TestExploreUsageErrors(t *testing.T) {
 		t.Errorf("missing worksheet file: exit %d, want 1", code)
 	}
 }
+
+// TestExploreOverflowingWorksheet: a worksheet whose fields validate
+// but whose derived numbers overflow (t_comm +Inf) exits 1 naming the
+// quantity, in table and JSONL mode alike — never a table of +Inf and
+// NaN% with exit 0.
+func TestExploreOverflowingWorksheet(t *testing.T) {
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	path := filepath.Join(t.TempDir(), "ws.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := worksheet.EncodeJSON(f, p); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, mode := range [][]string{nil, {"-jsonl"}} {
+		args := append([]string{"explore", "-worksheet", path, "-frontier"}, mode...)
+		code, out, errOut := runSim(t, args...)
+		if code != 1 || !strings.Contains(errOut, "TComm") || !strings.Contains(errOut, "1099511627776") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming TComm at block size 1099511627776", mode, code, errOut)
+		}
+		if out != "" {
+			t.Errorf("%v: wrote %q before failing", mode, out)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -131,18 +130,20 @@ type Constraints struct {
 	MaxDevices int
 }
 
-// feasible reports whether c satisfies every set bound.
-func (cs Constraints) feasible(c *Candidate) bool {
-	if cs.MinSpeedup > 0 && c.Speedup < cs.MinSpeedup {
+// feasible reports whether a candidate with these numbers satisfies
+// every set bound. It takes scalars so the hot loop can test a design
+// before it builds a Candidate for it.
+func (cs Constraints) feasible(speedup, trc, utilComm float64, devices int) bool {
+	if cs.MinSpeedup > 0 && speedup < cs.MinSpeedup {
 		return false
 	}
-	if cs.MaxTRC > 0 && c.TRC > cs.MaxTRC {
+	if cs.MaxTRC > 0 && trc > cs.MaxTRC {
 		return false
 	}
-	if cs.MaxUtilComm > 0 && c.UtilComm > cs.MaxUtilComm {
+	if cs.MaxUtilComm > 0 && utilComm > cs.MaxUtilComm {
 		return false
 	}
-	if cs.MaxDevices > 0 && c.Devices > cs.MaxDevices {
+	if cs.MaxDevices > 0 && devices > cs.MaxDevices {
 		return false
 	}
 	return true
@@ -366,83 +367,102 @@ type workerState struct {
 // arithmetic reproduces core.Predict / core.PredictMulti expression by
 // expression (memoized where the sub-term is axis-invariant), so every
 // candidate's numbers are bit-for-bit the scalar results.
+//
+// Only lo is decoded; from there the six axis counters advance like an
+// odometer, so no candidate pays an index division. Whatever depends
+// only on (block, alpha, device, buffering) is computed once per row
+// of clocks x throughput_procs, and the constraints are tested on
+// scalars: a Candidate is filled in only for a feasible design.
+//
+//rat:hotpath
 func (st *workerState) evalShard(c *compiled, cons Constraints, lo, hi uint64) {
 	na, nd, nu, nc, nt := len(c.alphas), len(c.devs), len(c.bufs), len(c.clocks), len(c.tps)
+	bi, ai, di, ui, ci, ti := c.decode(lo)
+	tSoft := c.base.Soft.TSoft
 	var cand Candidate
-	for idx := lo; idx < hi; idx++ {
-		rem := idx
-		ti := int(rem % uint64(nt))
-		rem /= uint64(nt)
-		ci := int(rem % uint64(nc))
-		rem /= uint64(nc)
-		ui := int(rem % uint64(nu))
-		rem /= uint64(nu)
-		di := int(rem % uint64(nd))
-		rem /= uint64(nd)
-		ai := int(rem % uint64(na))
-		bi := int(rem / uint64(na))
-
+	for idx := lo; idx < hi; {
+		// Row invariants. Fields set here hold for the whole row:
+		// topK.offer and insertFrontier copy cand, never keep it.
 		b := &c.blocks[bi]
+		devices := c.devs[di]
+		n := float64(devices)
 		// Eqs. 1-3, memoized per (block, alpha). TComm is read +
-		// write in that order, matching core.Predict.
+		// write in that order, matching core.Predict. The multi-FPGA
+		// extension (core.PredictMulti) divides communication by N
+		// on independent channels only.
 		tComm := c.tRead[bi*na+ai] + c.tWrite[bi*na+ai]
-		// Eq. 4, numerator per block, denominator memoized per
-		// (clock, throughput_proc).
-		tComp := b.opsCoeff / c.denom[ci*nt+ti]
-		// Multi-FPGA extension (core.PredictMulti): computation
-		// always divides by N, communication only on independent
-		// channels. N == 1 divides by 1.0, which is exact, so the
-		// single-device numbers equal core.Predict's.
-		n := float64(c.devs[di])
-		tComp = tComp / n
 		if c.topo == core.IndependentChannels {
 			tComm = tComm / n
 		}
 		iters := float64(b.iters)
-		var trc float64
-		if c.bufs[ui] == core.DoubleBuffered {
-			trc = iters * math.Max(tComm, tComp)
-		} else {
-			trc = iters * (tComm + tComp)
-		}
-		speedup := 0.0
-		if c.base.Soft.TSoft > 0 {
-			speedup = c.base.Soft.TSoft / trc
-		}
-		var utilComp, utilComm float64
-		if c.bufs[ui] == core.DoubleBuffered {
-			mx := math.Max(tComm, tComp)
-			utilComp = tComp / mx
-			utilComm = tComm / mx
-		} else {
-			sum := tComm + tComp
-			utilComp = tComp / sum
-			utilComm = tComm / sum
-		}
+		double := c.bufs[ui] == core.DoubleBuffered
+		cand.AlphaWrite = c.alphas[ai].write
+		cand.AlphaRead = c.alphas[ai].read
+		cand.ElementsIn = b.elemsIn
+		cand.ElementsOut = b.elemsOut
+		cand.Iterations = b.iters
+		cand.Devices = devices
+		cand.Buffering = c.bufs[ui]
+		cand.TComm = tComm
 
-		cand = Candidate{
-			Index:          idx,
-			ClockHz:        c.clocks[ci],
-			ThroughputProc: c.tps[ti],
-			AlphaWrite:     c.alphas[ai].write,
-			AlphaRead:      c.alphas[ai].read,
-			ElementsIn:     b.elemsIn,
-			ElementsOut:    b.elemsOut,
-			Iterations:     b.iters,
-			Devices:        c.devs[di],
-			Buffering:      c.bufs[ui],
-			TComm:          tComm,
-			TComp:          tComp,
-			TRC:            trc,
-			Speedup:        speedup,
-			UtilComm:       utilComm,
-			UtilComp:       utilComp,
+		for ; ci < nc; ci++ {
+			denom := c.denom[ci*nt : ci*nt+nt]
+			for ; ti < nt; ti, idx = ti+1, idx+1 {
+				if idx == hi {
+					return
+				}
+				// Eq. 4: numerator per block, denominator memoized per
+				// (clock, throughput_proc), then split across N devices.
+				// N == 1 divides by 1.0, which is exact, so the
+				// single-device numbers equal core.Predict's.
+				tComp := b.opsCoeff / denom[ti]
+				tComp = tComp / n
+				// Eqs. 5-6: per-iteration time is the sum (single-
+				// buffered) or the max (double-buffered) of t_comm and
+				// t_comp, and Eqs. 8-11 divide by the same value. The
+				// builtin max has math.Max's NaN and signed-zero rules,
+				// so the results are bit-identical.
+				var tIter float64
+				if double {
+					tIter = max(tComm, tComp)
+				} else {
+					tIter = tComm + tComp
+				}
+				trc := iters * tIter
+				utilComm := tComm / tIter
+				// Eq. 7.
+				speedup := 0.0
+				if tSoft > 0 {
+					speedup = tSoft / trc
+				}
+				if !cons.feasible(speedup, trc, utilComm, devices) {
+					continue
+				}
+				cand.Index = idx
+				cand.ClockHz = c.clocks[ci]
+				cand.ThroughputProc = c.tps[ti]
+				cand.TComp = tComp
+				cand.TRC = trc
+				cand.Speedup = speedup
+				cand.UtilComm = utilComm
+				cand.UtilComp = tComp / tIter
+				st.feasible++
+				st.top.offer(&cand)
+				st.front = insertFrontier(st.front, &cand)
+			}
+			ti = 0
 		}
-		if !cons.feasible(&cand) {
-			continue
+		ci = 0
+		// Carry into the outer four axes.
+		if ui++; ui == nu {
+			ui = 0
+			if di++; di == nd {
+				di = 0
+				if ai++; ai == na {
+					ai = 0
+					bi++
+				}
+			}
 		}
-		st.feasible++
-		st.top.offer(&cand)
-		st.front = insertFrontier(st.front, &cand)
 	}
 }

@@ -3,7 +3,10 @@ package explore_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/chrec/rat/internal/core"
@@ -82,8 +85,24 @@ func TestGridValidation(t *testing.T) {
 	base := paper.PDF1DParams()
 	bad := base
 	bad.Comp.ClockHz = 0
+	// Every field validates, but t_write overflows to +Inf.
+	overflow := base
+	overflow.Dataset.BytesPerElement = 1e300
+	overflow.Dataset.ElementsIn = 1 << 40
+	heavy := base // fine at its own block size, not at 2^40 elements
+	heavy.Dataset.BytesPerElement = 1e300
+	hugeTotal := base
+	hugeTotal.Dataset.ElementsIn = 1 << 40
+	hugeTotal.Soft.Iterations = 1 << 40
+	wide := base
+	wide.Dataset.ElementsOut = wide.Dataset.ElementsIn
 	cases := map[string]explore.Grid{
 		"invalid base":      {Base: bad},
+		"overflowing base":  {Base: overflow},
+		"overflowing block": {Base: heavy, BlockSizes: []int64{512, 1 << 40}},
+		"tiny clock":        {Base: base, Clocks: []float64{1e-320}, Bufferings: []core.Buffering{core.DoubleBuffered}},
+		"total overflow":    {Base: hugeTotal},
+		"output overflow":   {Base: wide, BlockSizes: []int64{math.MaxInt64}},
 		"duplicate clock":   {Base: base, Clocks: []float64{1e8, 1e8}},
 		"nan clock":         {Base: base, Clocks: []float64{math.NaN()}},
 		"negative clock":    {Base: base, Clocks: []float64{-1}},
@@ -108,6 +127,21 @@ func TestGridValidation(t *testing.T) {
 		}
 		if _, err := explore.Run(g, explore.Options{Workers: 1}); !errors.Is(err, core.ErrInvalidParameters) {
 			t.Errorf("%s: Run() = %v, want wrapped ErrInvalidParameters", name, err)
+		}
+	}
+}
+
+// TestGridOverflowNamesQuantity: an overflowing grid is rejected with
+// an error naming the quantity and the block size at which it
+// overflows, whichever buffering the grid evaluates.
+func TestGridOverflowNamesQuantity(t *testing.T) {
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	for _, bufs := range [][]core.Buffering{nil, {core.SingleBuffered}, {core.DoubleBuffered}} {
+		err := explore.Grid{Base: p, Bufferings: bufs}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "TComm") || !strings.Contains(err.Error(), "1099511627776") {
+			t.Errorf("bufferings %v: Validate() = %v, want an error naming TComm and block size 1099511627776", bufs, err)
 		}
 	}
 }
@@ -413,5 +447,133 @@ func TestExploreSpans(t *testing.T) {
 	}
 	if res.Spans != nil {
 		t.Errorf("CollectSpans off still produced %d spans", len(res.Spans))
+	}
+}
+
+// TestShardWindowsMatchWholeGrid: a shard may start and stop anywhere
+// in the engine's odometer walk — inside a row of clocks x
+// throughput_procs, on a row boundary, or across a carry into any
+// outer axis. On a grid with co-prime axis lengths (3 blocks x 2
+// alphas x 3 devices x 2 bufferings x 5 clocks x 7 throughput_procs =
+// 1,260 candidates, rows of 35), every window [lo, lo+w) evaluates
+// exactly the whole grid's candidates at those indices, which in turn
+// equal EvalIndices' one-index-at-a-time evaluation.
+func TestShardWindowsMatchWholeGrid(t *testing.T) {
+	for _, topo := range []core.Topology{core.SharedChannel, core.IndependentChannels} {
+		g := explore.Grid{
+			Base:            paper.PDF1DParams(),
+			Clocks:          []float64{core.MHz(75), core.MHz(100), core.MHz(125), core.MHz(150), core.MHz(175)},
+			ThroughputProcs: []float64{4, 8, 12, 16, 20, 24, 28},
+			Alphas:          []float64{0.16, 0.37},
+			BlockSizes:      []int64{512, 1024, 2048},
+			Devices:         []int{1, 2, 4},
+			Topology:        topo,
+		}
+		size := g.Size()
+		if size != 1260 {
+			t.Fatalf("grid size %d, want 1260", size)
+		}
+		all := make([]uint64, size)
+		for i := range all {
+			all[i] = uint64(i)
+		}
+		want, err := explore.EvalIndices(g, explore.Constraints{}, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// EvalIndices shares the engine's loop, so pin its design
+		// knobs to the worksheet Grid.At materializes.
+		for _, c := range want {
+			p, mc, buf, err := g.At(c.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ClockHz != p.Comp.ClockHz || c.ThroughputProc != p.Comp.ThroughputProc ||
+				c.AlphaWrite != p.Comm.AlphaWrite || c.AlphaRead != p.Comm.AlphaRead ||
+				c.ElementsIn != p.Dataset.ElementsIn || c.ElementsOut != p.Dataset.ElementsOut ||
+				c.Iterations != p.Soft.Iterations || c.Devices != mc.Devices || c.Buffering != buf {
+				t.Fatalf("%v: candidate %d's knobs %+v differ from Grid.At's worksheet", topo, c.Index, c)
+			}
+		}
+		// Whole-grid runs whose shards start on and off row boundaries.
+		for _, workers := range []int{1, 2, 7} {
+			res, err := explore.Run(g, explore.Options{Workers: workers, TopK: int(size)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := byIndex(res.Top)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v, %d workers: whole-grid run differs from EvalIndices", topo, workers)
+			}
+		}
+		for _, w := range []uint64{1, 2, 7, 34, 35, 36} {
+			for lo := uint64(0); lo+w <= size; lo++ {
+				res, err := explore.Run(g, explore.Options{Workers: 1, TopK: int(w), IndexLo: lo, IndexHi: lo + w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := byIndex(res.Top); !reflect.DeepEqual(got, want[lo:lo+w]) {
+					t.Fatalf("%v: window [%d, %d) differs from the whole grid's candidates", topo, lo, lo+w)
+				}
+				ev, err := explore.EvalIndices(g, explore.Constraints{}, all[lo:lo+w])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ev, want[lo:lo+w]) {
+					t.Fatalf("%v: EvalIndices over [%d, %d) differs from the whole grid's candidates", topo, lo, lo+w)
+				}
+			}
+		}
+	}
+}
+
+// byIndex returns a copy of cands sorted by candidate index.
+func byIndex(cands []explore.Candidate) []explore.Candidate {
+	out := append([]explore.Candidate(nil), cands...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
+}
+
+// TestFrontierIndependentOfInputOrder: Frontier is a pure function of
+// its input set, whatever order the candidates arrive in — including
+// members with equal objective vectors, which neither dominates. Equal
+// clock x throughput_proc products (100 MHz x 20 = 200 MHz x 10) give
+// such ties.
+func TestFrontierIndependentOfInputOrder(t *testing.T) {
+	g := explore.Grid{
+		Base:            paper.PDF1DParams(),
+		Clocks:          []float64{core.MHz(100), core.MHz(200)},
+		ThroughputProcs: []float64{10, 20, 40},
+		Alphas:          []float64{0.16, 0.37},
+		Devices:         []int{1, 2, 4},
+		Topology:        core.IndependentChannels,
+	}
+	res, err := explore.Run(g, explore.Options{Workers: 1, TopK: int(g.Size())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := explore.Frontier(res.Top)
+	if !reflect.DeepEqual(want, res.Frontier) {
+		t.Fatal("Frontier(all candidates) differs from the engine's frontier")
+	}
+	ties := 0
+	for i := range want {
+		for j := i + 1; j < len(want); j++ {
+			a, b := want[i], want[j]
+			if a.Speedup == b.Speedup && a.UtilComp == b.UtilComp && a.Devices == b.Devices {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("fixture frontier holds no equal objective vectors")
+	}
+	r := rand.New(rand.NewSource(15))
+	cands := append([]explore.Candidate(nil), res.Top...)
+	for perm := 0; perm < 200; perm++ {
+		r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		if got := explore.Frontier(cands); !reflect.DeepEqual(got, want) {
+			t.Fatalf("permutation %d: Frontier differs from the index-ordered input's", perm)
+		}
 	}
 }

@@ -118,6 +118,19 @@ func checkAxis(name string, values []float64) error {
 // compile validates the grid once and precomputes every invariant
 // sub-term of the candidate evaluation.
 func (g Grid) compile() (*compiled, error) {
+	c, err := g.precompute()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.checkFinite(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// precompute is compile without the overflow check: it validates the
+// axes and builds the memo tables.
+func (g Grid) precompute() (*compiled, error) {
 	if err := g.Base.Validate(); err != nil {
 		return nil, fmt.Errorf("explore grid base: %w", err)
 	}
@@ -209,6 +222,10 @@ func (g Grid) compile() (*compiled, error) {
 	// Block-size axis: rescale the iteration count so the total
 	// problem is conserved, exactly as a designer resizing the
 	// buffered block would (examples/sweep does this by hand).
+	if g.Base.Soft.Iterations > math.MaxInt64/g.Base.Dataset.ElementsIn {
+		return nil, errGrid("total problem size ElementsIn x Iterations (%d x %d) overflows int64",
+			g.Base.Dataset.ElementsIn, g.Base.Soft.Iterations)
+	}
 	total := g.Base.Dataset.ElementsIn * g.Base.Soft.Iterations
 	sizes := g.BlockSizes
 	if len(sizes) == 0 {
@@ -217,8 +234,12 @@ func (g Grid) compile() (*compiled, error) {
 	c.blocks = make([]blockAxis, len(sizes))
 	for i, e := range sizes {
 		b := blockAxis{elemsIn: e}
-		b.iters = (total + e - 1) / e
-		b.elemsOut = int64(math.Round(float64(g.Base.Dataset.ElementsOut) * float64(e) / float64(g.Base.Dataset.ElementsIn)))
+		b.iters = (total-1)/e + 1 // ceil(total/e) without overflowing total+e-1
+		elemsOut := math.Round(float64(g.Base.Dataset.ElementsOut) * float64(e) / float64(g.Base.Dataset.ElementsIn))
+		if !(elemsOut < 1<<63) {
+			return nil, errGrid("ElementsOut overflows int64 at block size %d (got %v)", e, elemsOut)
+		}
+		b.elemsOut = int64(elemsOut)
 		b.bytesIn = float64(b.elemsIn) * g.Base.Dataset.BytesPerElement
 		b.bytesOut = float64(b.elemsOut) * g.Base.Dataset.BytesPerElement
 		b.opsCoeff = float64(b.elemsIn) * g.Base.Comp.OpsPerElement
@@ -256,6 +277,80 @@ func (g Grid) compile() (*compiled, error) {
 	}
 	return c, nil
 }
+
+// checkFinite rejects a grid whose derived numbers overflow. Every
+// field of a worksheet can validate while a product does not:
+// BytesPerElement 1e300 with a 2^40-element block makes t_comm +Inf
+// and the utilizations NaN.
+//
+// Under IEEE rounding each candidate number is a monotone function of
+// the memoized sub-terms, so for each block size its extremes are real
+// candidates at the grid's corners: the largest at the slowest alpha,
+// the smallest clock x throughput_proc and the fewest devices, the
+// smallest at the opposite corner. The check evaluates both corners by
+// evalShard's expressions, per block size and per buffering the grid
+// evaluates. When the largest t_comm, t_comp and t_rc are finite, the
+// smallest t_rc is above 0 and t_soft over it is finite, every
+// candidate's numbers, the utilizations included, are finite; when
+// not, a corner candidate itself is not. The hot loop therefore needs
+// no check of its own.
+func (c *compiled) checkFinite() error {
+	na := len(c.alphas)
+	denomLo, denomHi := c.denom[0], c.denom[0]
+	for _, d := range c.denom[1:] {
+		denomLo, denomHi = min(denomLo, d), max(denomHi, d)
+	}
+	devLo, devHi := c.devs[0], c.devs[0]
+	for _, d := range c.devs[1:] {
+		devLo, devHi = min(devLo, d), max(devHi, d)
+	}
+	nLo, nHi := float64(devLo), float64(devHi)
+	tSoft := c.base.Soft.TSoft
+	for bi := range c.blocks {
+		b := &c.blocks[bi]
+		commLo := c.tRead[bi*na] + c.tWrite[bi*na]
+		commHi := commLo
+		for ai := 1; ai < na; ai++ {
+			s := c.tRead[bi*na+ai] + c.tWrite[bi*na+ai]
+			commLo, commHi = min(commLo, s), max(commHi, s)
+		}
+		if c.topo == core.IndependentChannels {
+			commLo = commLo / nHi
+			commHi = commHi / nLo
+		}
+		compLo := b.opsCoeff / denomHi
+		compLo = compLo / nHi
+		compHi := b.opsCoeff / denomLo
+		compHi = compHi / nLo
+		if !isFinite(commHi) {
+			return errGrid("TComm overflows at block size %d (got %v)", b.elemsIn, commHi)
+		}
+		if !isFinite(compHi) {
+			return errGrid("TComp overflows at block size %d (got %v)", b.elemsIn, compHi)
+		}
+		iters := float64(b.iters)
+		for _, buf := range c.bufs {
+			trcLo, trcHi := iters*(commLo+compLo), iters*(commHi+compHi)
+			if buf == core.DoubleBuffered {
+				trcLo, trcHi = iters*max(commLo, compLo), iters*max(commHi, compHi)
+			}
+			if !isFinite(trcHi) {
+				return errGrid("TRC overflows at block size %d, %v (got %v)", b.elemsIn, buf, trcHi)
+			}
+			if !(trcLo > 0) {
+				return errGrid("TRC underflows to %v at block size %d, %v, which makes the utilizations NaN",
+					trcLo, b.elemsIn, buf)
+			}
+			if tSoft > 0 && !isFinite(tSoft/trcLo) {
+				return errGrid("Speedup overflows at block size %d, %v (got %v)", b.elemsIn, buf, tSoft/trcLo)
+			}
+		}
+	}
+	return nil
+}
+
+// isFinite reports whether v is neither NaN nor an infinity.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // decode splits a candidate index into its axis indices. The layout is
 // fixed — blocks, alphas, devices, bufferings, clocks, throughput_procs

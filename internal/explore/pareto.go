@@ -25,14 +25,31 @@ func dominates(a, b *Candidate) bool {
 // small in practice (it is bounded by the number of distinct
 // non-dominated objective vectors), so the quadratic worst case is
 // irrelevant next to the grid evaluation.
+//
+// The front is self-organising, as in the block-nested-loops skyline
+// method: a member that dominates c swaps places with the first
+// member. The member that rejected one candidate usually rejects the
+// next, so a typical dominated candidate costs one comparison. Member
+// order is never observable: the front is a set, and Frontier sorts it
+// by index.
+//
+//rat:hotpath
 func insertFrontier(front []Candidate, c *Candidate) []Candidate {
 	w := 0
 	for i := range front {
 		if dominates(&front[i], c) {
-			return front // c is dominated; front unchanged
+			// Nothing was evicted yet (w == i): a member c dominates
+			// and a member that dominates c cannot both be in the
+			// front, since dominance is transitive.
+			if i > 0 {
+				front[0], front[i] = front[i], front[0]
+			}
+			return front
 		}
 		if !dominates(c, &front[i]) {
-			front[w] = front[i]
+			if w != i {
+				front[w] = front[i]
+			}
 			w++
 		}
 	}

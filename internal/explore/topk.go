@@ -27,6 +27,8 @@ func (t *topK) worse(i, j int) bool {
 }
 
 // offer considers c for the retained set.
+//
+//rat:hotpath
 func (t *topK) offer(c *Candidate) {
 	if len(t.items) < t.k {
 		t.items = append(t.items, *c)

@@ -453,6 +453,56 @@ func TestNonFiniteWorksheetRejected(t *testing.T) {
 	}
 }
 
+// TestExploreOverflowRejected: the same overflowing worksheet is a 400
+// naming the quantity on /v1/explore, in JSON and JSONL, with and
+// without the frontier, and on /v1/explore/distributed — never a 500
+// from the encoder or a 200 whose stream stops before its summary.
+func TestExploreOverflowRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	bad := paper.PDF1DParams()
+	bad.Dataset.BytesPerElement = 1e300
+	bad.Dataset.ElementsIn = 1 << 40
+	check := func(name, path string, req any) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil {
+			t.Errorf("%s: status %d body %q, want a 400 JSON error", name, resp.StatusCode, out)
+			return
+		}
+		if !strings.Contains(e.Error, "TComm") || !strings.Contains(e.Error, "1099511627776") {
+			t.Errorf("%s: error %q does not name TComm at block size 1099511627776", name, e.Error)
+		}
+	}
+	for _, frontier := range []bool{false, true} {
+		req := api.ExploreRequest{
+			Worksheet: worksheet.DocFromParams(bad),
+			ClocksMHz: []float64{75, 100, 150},
+			TopK:      3,
+			Frontier:  frontier,
+		}
+		for _, path := range []string{"/v1/explore", "/v1/explore?stream=jsonl"} {
+			check(fmt.Sprintf("%s frontier=%v", path, frontier), path, req)
+		}
+		check(fmt.Sprintf("/v1/explore/distributed frontier=%v", frontier), "/v1/explore/distributed",
+			api.DistributedExploreRequest{Explore: req, Workers: []string{ts.URL}})
+	}
+}
+
 // TestAdmissionControlBurst pins the acceptance criterion: with a
 // predict concurrency limit of N, a burst of 4N requests admits at
 // most N at a time (telemetry high-water mark) and answers the

@@ -2,6 +2,7 @@ package rat_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,6 +33,19 @@ func TestFacadePredict(t *testing.T) {
 	}
 	if pr.Speedup(rat.DoubleBuffered) <= pr.Speedup(rat.SingleBuffered) {
 		t.Error("double-buffered must not be slower")
+	}
+}
+
+// TestFacadeExploreRejectsOverflow: a grid whose worksheet fields all
+// validate but whose derived numbers overflow is refused by
+// rat.Explore as invalid parameters, not explored into +Inf and NaN.
+func TestFacadeExploreRejectsOverflow(t *testing.T) {
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	res, err := rat.Explore(rat.Grid{Base: p}, rat.ExploreOptions{Workers: 1})
+	if !errors.Is(err, rat.ErrInvalidParameters) {
+		t.Fatalf("Explore = %+v, %v; want an error wrapping ErrInvalidParameters", res, err)
 	}
 }
 
