@@ -219,3 +219,37 @@ func benchExplore(b *testing.B, workers int) {
 
 func BenchmarkExplore1Worker(b *testing.B) { benchExplore(b, 1) }
 func BenchmarkExplore8Worker(b *testing.B) { benchExplore(b, 8) }
+
+// BenchmarkExploreShortRows times a frontier request on one worker
+// over a grid whose rows are too short for the row walk: 2 clocks x 2
+// throughput_procs per row, x 16 alphas x 16 block sizes x 16 device
+// counts x 2 bufferings = 65,536 candidates. Every candidate takes the
+// exhaustive loop and is folded into the frontier, the case where
+// pruning cannot pay.
+func BenchmarkExploreShortRows(b *testing.B) {
+	g := rat.Grid{
+		Base:            paper.PDF1DParams(),
+		Clocks:          []float64{rat.MHz(100), rat.MHz(150)},
+		ThroughputProcs: []float64{10, 20},
+		Topology:        rat.IndependentChannels,
+	}
+	for i := 1; i <= 16; i++ {
+		g.Alphas = append(g.Alphas, float64(i)/17)
+		g.BlockSizes = append(g.BlockSizes, 64*int64(i))
+		g.Devices = append(g.Devices, i)
+	}
+	size := g.Size()
+	opts := rat.ExploreOptions{Workers: 1, TopK: 10, Frontier: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := rat.Explore(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Frontier) == 0 {
+			b.Fatal("empty frontier")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(size)), "ns/candidate")
+}

@@ -95,6 +95,7 @@ func cmdExplore(args []string, out io.Writer) error {
 		Workers:   *workers,
 		TopK:      *top,
 		Objective: obj,
+		Frontier:  *frontier,
 		Constraints: explore.Constraints{
 			MinSpeedup:  *minSpeedup,
 			MaxTRC:      *maxTRC,

@@ -139,3 +139,17 @@ func TestExploreOverflowingWorksheet(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreHugeTop: a -top far beyond the grid asks for every
+// candidate. It must not size anything by the flag: the run exits 0
+// with all 4 candidates, not with an out-of-memory crash.
+func TestExploreHugeTop(t *testing.T) {
+	code, out, errOut := runSim(t, "explore", "-case", "pdf1d",
+		"-clocks", "100,150", "-top", "1099511627776", "-jsonl")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if n := strings.Count(out, `"set":"top"`); n != 4 {
+		t.Errorf("got %d top records, want all 4 candidates:\n%s", n, out)
+	}
+}

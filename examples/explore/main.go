@@ -1,9 +1,11 @@
-// Exhaustive design-space exploration with RAT: a six-dimension grid
-// of candidate designs — clock x parallelism x interconnect efficiency
-// x block size x device count x buffering — searched in parallel for
-// the best and the cheapest configurations. The worksheet that the
-// paper fills in by hand becomes, at ~30 ns per candidate, a space you
-// can sweep exhaustively before writing any hardware code.
+// Exact design-space exploration with RAT: a six-dimension grid of
+// candidate designs — clock x parallelism x interconnect efficiency x
+// block size x device count x buffering — searched in parallel for the
+// best and the cheapest configurations. The worksheet that the paper
+// fills in by hand becomes a space you can search before writing any
+// hardware code: the answer is the one evaluating every candidate
+// would give, and the engine evaluates only the candidates that can
+// change it.
 //
 // Run with: go run ./examples/explore
 package main
@@ -46,8 +48,9 @@ func main() {
 	}
 	fmt.Printf("grid: %d candidate designs across 6 axes\n\n", grid.Size())
 
-	// Search 1: the fastest designs, unconstrained.
-	res, err := rat.Explore(grid, rat.ExploreOptions{TopK: 5})
+	// Search 1: the fastest designs, unconstrained, with the Pareto
+	// frontier printed below.
+	res, err := rat.Explore(grid, rat.ExploreOptions{TopK: 5, Frontier: true})
 	if err != nil {
 		log.Fatal(err)
 	}

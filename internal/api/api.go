@@ -221,10 +221,11 @@ func (r ExploreRequest) Grid() (explore.Grid, error) {
 // caller (the server) supplies the worker count.
 func (r ExploreRequest) Options(workers int) (explore.Options, error) {
 	opts := explore.Options{
-		Workers: workers,
-		TopK:    r.TopK,
-		IndexLo: r.IndexLo,
-		IndexHi: r.IndexHi,
+		Workers:  workers,
+		TopK:     r.TopK,
+		Frontier: r.Frontier,
+		IndexLo:  r.IndexLo,
+		IndexHi:  r.IndexHi,
 		Constraints: explore.Constraints{
 			MinSpeedup:  r.MinSpeedup,
 			MaxTRC:      r.MaxTRCSeconds,

@@ -39,7 +39,7 @@ func shardResults(t *testing.T, g explore.Grid, cons explore.Constraints, obj ex
 		}
 		res, err := explore.Run(g, explore.Options{
 			Workers: 1, TopK: k, Objective: obj, Constraints: cons,
-			IndexLo: lo, IndexHi: hi,
+			IndexLo: lo, IndexHi: hi, Frontier: true,
 		})
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", lo, hi, err)
@@ -65,7 +65,7 @@ func TestMergeMatchesSingleNode(t *testing.T) {
 		for _, step := range []uint64{1, 7, 16, 50, 144, 1000} {
 			for _, k := range []int{1, 5, 10} {
 				want, err := explore.Run(g, explore.Options{
-					Workers: 1, TopK: k, Objective: obj, Constraints: cons,
+					Workers: 1, TopK: k, Objective: obj, Constraints: cons, Frontier: true,
 				})
 				if err != nil {
 					t.Fatal(err)

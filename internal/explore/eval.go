@@ -34,7 +34,7 @@ func EvalIndices(g Grid, cons Constraints, indices []uint64) ([]Candidate, error
 		}
 		var st workerState
 		st.top.init(1, MaxSpeedup)
-		st.evalShard(c, cons, idx, idx+1)
+		st.evalShard(c, cons, idx, idx+1, false)
 		if len(st.top.items) == 1 {
 			out = append(out, st.top.items[0])
 		}

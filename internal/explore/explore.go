@@ -116,6 +116,16 @@ func (o Objective) better(a, b *Candidate) bool {
 	return a.Index < b.Index
 }
 
+// worseValue reports whether pt's objective value is strictly worse
+// than c's, index aside. It serves the objectives that rank by a
+// number, MaxSpeedup and MinTRC.
+func (o Objective) worseValue(pt *point, c *Candidate) bool {
+	if o == MinTRC {
+		return pt.trc > c.TRC
+	}
+	return pt.speedup < c.Speedup
+}
+
 // Constraints restrict which candidates count as feasible. Zero values
 // leave a bound unset.
 type Constraints struct {
@@ -134,19 +144,28 @@ type Constraints struct {
 // every set bound. It takes scalars so the hot loop can test a design
 // before it builds a Candidate for it.
 func (cs Constraints) feasible(speedup, trc, utilComm float64, devices int) bool {
+	return cs.lowOK(speedup, trc) && cs.highOK(utilComm) && cs.devicesOK(devices)
+}
+
+// lowOK tests the bounds that fail only at small clock x
+// throughput_proc products: speedup never falls and t_RC never rises
+// as the product grows.
+func (cs Constraints) lowOK(speedup, trc float64) bool {
 	if cs.MinSpeedup > 0 && speedup < cs.MinSpeedup {
 		return false
 	}
-	if cs.MaxTRC > 0 && trc > cs.MaxTRC {
-		return false
-	}
-	if cs.MaxUtilComm > 0 && utilComm > cs.MaxUtilComm {
-		return false
-	}
-	if cs.MaxDevices > 0 && devices > cs.MaxDevices {
-		return false
-	}
-	return true
+	return !(cs.MaxTRC > 0 && trc > cs.MaxTRC)
+}
+
+// highOK tests the bound that fails only at large products:
+// communication utilization never falls as the product grows.
+func (cs Constraints) highOK(utilComm float64) bool {
+	return !(cs.MaxUtilComm > 0 && utilComm > cs.MaxUtilComm)
+}
+
+// devicesOK tests the bound that takes or drops a whole row.
+func (cs Constraints) devicesOK(devices int) bool {
+	return !(cs.MaxDevices > 0 && devices > cs.MaxDevices)
 }
 
 // Options configure a Run.
@@ -160,6 +179,10 @@ type Options struct {
 	Objective Objective
 	// Constraints filter candidates before ranking.
 	Constraints Constraints
+	// Frontier asks for Result.Frontier. Without it the engine builds
+	// no frontier and can skip more of the grid; Result.Frontier stays
+	// nil.
+	Frontier bool
 	// IndexLo and IndexHi restrict the run to candidate indices
 	// [IndexLo, IndexHi) — one shard of the grid. Both zero means the
 	// whole grid. Because every candidate carries its stable grid
@@ -168,9 +191,9 @@ type Options struct {
 	IndexLo uint64
 	IndexHi uint64
 	// Metrics, when non-nil, receives engine telemetry:
-	// explore.candidates and explore.feasible counters, the
-	// explore.shard timer, and explore.candidates_per_sec and
-	// explore.topk_churn gauges.
+	// explore.candidates, explore.feasible and explore.evaluations
+	// counters, the explore.shard timer, and explore.candidates_per_sec
+	// and explore.topk_churn gauges.
 	Metrics *telemetry.Registry
 	// CollectSpans records one ShardSpan per evaluated shard into
 	// Result.Spans: which index range ran on which worker and for how
@@ -193,8 +216,10 @@ type ShardSpan struct {
 
 // Result is the outcome of exploring a grid.
 type Result struct {
-	// Evaluated is the evaluated candidate count: the grid size, or
-	// the span of the index range for a partial (sharded) run.
+	// Evaluated is the covered candidate count: the grid size, or the
+	// span of the index range for a partial (sharded) run. The engine
+	// skips candidates that cannot change the answer, so this counts
+	// coverage, not work; the explore.evaluations counter counts work.
 	Evaluated uint64
 	// Feasible is how many candidates satisfied the constraints.
 	Feasible uint64
@@ -203,13 +228,15 @@ type Result struct {
 	Top []Candidate
 	// Frontier is the Pareto frontier of the feasible set —
 	// candidates not dominated on (speedup up, computation
-	// utilization up, device count down) — sorted by Index.
+	// utilization up, device count down) — sorted by Index. It is nil
+	// unless Options.Frontier was set.
 	Frontier []Candidate
 	// Workers is the worker count actually used.
 	Workers int
 	// Elapsed is the wall-clock exploration time.
 	Elapsed time.Duration
-	// CandidatesPerSec is Evaluated divided by Elapsed.
+	// CandidatesPerSec is Evaluated divided by Elapsed: a coverage
+	// rate, not an evaluation rate.
 	CandidatesPerSec float64
 	// Spans holds per-shard timing when Options.CollectSpans was set,
 	// sorted by Lo so the listing reads as a scan of the index space.
@@ -221,12 +248,13 @@ type Result struct {
 // steal the remaining shards from the shared counter.
 const shardsPerWorker = 4
 
-// Run explores the grid: it evaluates every candidate through the
-// memoized batch kernel, in parallel across a sharded worker pool, and
-// streams the results into a top-K selection and a Pareto frontier.
-// Memory use is O(workers x (TopK + frontier)) regardless of grid
-// size, and the returned Result is byte-identical for any worker
-// count.
+// Run explores the grid in parallel across a sharded worker pool and
+// streams the results into a top-K selection and, when asked for, a
+// Pareto frontier. It evaluates, through the memoized batch kernel,
+// only the candidates that can change that answer (see walk.go): the
+// Result is byte-identical to evaluating every candidate, and for any
+// worker count. Memory use is O(workers x (TopK + frontier)) plus one
+// row of the grid, regardless of grid size.
 func Run(g Grid, opts Options) (Result, error) {
 	c, err := g.compile()
 	if err != nil {
@@ -258,6 +286,13 @@ func Run(g Grid, opts Options) (Result, error) {
 	if k <= 0 {
 		k = 10
 	}
+	// No worker sees more than span candidates, so a larger K keeps
+	// meaning "all of them" at a heap sized by the run, not the request.
+	workerK := k
+	if uint64(workerK) > span {
+		workerK = int(span)
+	}
+	p := newPlan(c, opts)
 
 	numShards := uint64(workers * shardsPerWorker)
 	shardSize := (span + numShards - 1) / numShards
@@ -278,7 +313,7 @@ func Run(g Grid, opts Options) (Result, error) {
 		wg.Add(1)
 		go func(worker int, st *workerState) {
 			defer wg.Done()
-			st.top.init(k, opts.Objective)
+			st.top.init(workerK, opts.Objective)
 			for {
 				s := next.Add(1) - 1
 				if s >= numShards {
@@ -294,7 +329,7 @@ func Run(g Grid, opts Options) (Result, error) {
 				}
 				//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
 				shardStart := time.Now()
-				st.evalShard(c, opts.Constraints, lo, hi)
+				st.runShard(p, lo, hi)
 				//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
 				shardElapsed := time.Since(shardStart)
 				if shardTimer != nil {
@@ -316,24 +351,8 @@ func Run(g Grid, opts Options) (Result, error) {
 	//rat:allow-wallclock wall time feeds Result.Elapsed telemetry only, never candidate ranking
 	elapsed := time.Since(start)
 
-	// Deterministic merge: per-worker results depend only on which
-	// candidates each worker saw, and the global sort erases that
-	// partitioning.
-	res := Result{Evaluated: span, Workers: workers, Elapsed: elapsed}
-	var merged []Candidate
-	var churn int64
-	for i := range states {
-		st := &states[i]
-		res.Feasible += st.feasible
-		churn += st.top.churn
-		merged = append(merged, st.top.items...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return opts.Objective.better(&merged[i], &merged[j]) })
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	res.Top = merged
-	res.Frontier = mergeFrontiers(states)
+	res := merge(states, k, opts.Objective, opts.Frontier)
+	res.Evaluated, res.Workers, res.Elapsed = span, workers, elapsed
 	if opts.CollectSpans {
 		for i := range states {
 			res.Spans = append(res.Spans, states[i].spans...)
@@ -345,22 +364,55 @@ func Run(g Grid, opts Options) (Result, error) {
 		res.CandidatesPerSec = float64(res.Evaluated) / secs
 	}
 	if m := opts.Metrics; m != nil {
+		var churn int64
+		var evals uint64
+		for i := range states {
+			churn += states[i].top.churn
+			evals += states[i].evals
+		}
 		m.Counter("explore.candidates").Add(int64(res.Evaluated))
 		m.Counter("explore.feasible").Add(int64(res.Feasible))
+		m.Counter("explore.evaluations").Add(int64(evals))
 		m.Gauge("explore.candidates_per_sec").Set(res.CandidatesPerSec)
 		m.Gauge("explore.topk_churn").Set(float64(churn))
 	}
 	return res, nil
 }
 
+// merge folds the per-worker results into the Result's counts, top-K
+// and frontier. Per-worker results depend only on which candidates
+// each worker saw, and the global sort erases that partitioning.
+func merge(states []workerState, k int, obj Objective, frontier bool) Result {
+	var res Result
+	var merged []Candidate
+	for i := range states {
+		res.Feasible += states[i].feasible
+		merged = append(merged, states[i].top.items...)
+	}
+	sort.Slice(merged, func(i, j int) bool { return obj.better(&merged[i], &merged[j]) })
+	if len(merged) > k {
+		merged = merged[:k]
+	}
+	res.Top = merged
+	if frontier {
+		res.Frontier = mergeFrontiers(states)
+	}
+	return res
+}
+
 // workerState is one worker's private accumulation. Workers share only
-// the compiled grid (read-only) and the shard counter, so the hot loop
-// runs without locks or allocation.
+// the compiled grid and the plan (both read-only) and the shard
+// counter, so the hot loop runs without locks or allocation.
 type workerState struct {
 	top      topK
 	front    []Candidate
 	feasible uint64
-	spans    []ShardSpan
+	// evals counts Eq. 1-11 evaluations, the engine's unit of work.
+	evals uint64
+	// rows and order are walkRows' buffers, reused across shards.
+	rows  []rowPlan
+	order []int32
+	spans []ShardSpan
 }
 
 // evalShard evaluates candidates [lo, hi) of the compiled grid. The
@@ -372,10 +424,14 @@ type workerState struct {
 // odometer, so no candidate pays an index division. Whatever depends
 // only on (block, alpha, device, buffering) is computed once per row
 // of clocks x throughput_procs, and the constraints are tested on
-// scalars: a Candidate is filled in only for a feasible design.
+// scalars: a Candidate is filled in only for a feasible design. Every
+// candidate in the range is evaluated, ranked and, when frontier is
+// set, folded into the frontier: this is the exhaustive loop the row
+// walk must agree with, and the path for short and cut rows.
 //
 //rat:hotpath
-func (st *workerState) evalShard(c *compiled, cons Constraints, lo, hi uint64) {
+func (st *workerState) evalShard(c *compiled, cons Constraints, lo, hi uint64, frontier bool) {
+	st.evals += hi - lo
 	na, nd, nu, nc, nt := len(c.alphas), len(c.devs), len(c.bufs), len(c.clocks), len(c.tps)
 	bi, ai, di, ui, ci, ti := c.decode(lo)
 	tSoft := c.base.Soft.TSoft
@@ -448,7 +504,9 @@ func (st *workerState) evalShard(c *compiled, cons Constraints, lo, hi uint64) {
 				cand.UtilComp = tComp / tIter
 				st.feasible++
 				st.top.offer(&cand)
-				st.front = insertFrontier(st.front, &cand)
+				if frontier {
+					st.front = insertFrontier(st.front, &cand)
+				}
 			}
 			ti = 0
 		}

@@ -197,7 +197,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	g := testGrid()
 	for _, obj := range []explore.Objective{explore.MaxSpeedup, explore.MinTRC, explore.MinCost} {
 		opts := explore.Options{Workers: 1, TopK: 12, Objective: obj,
-			Constraints: explore.Constraints{MinSpeedup: 1}}
+			Constraints: explore.Constraints{MinSpeedup: 1}, Frontier: true}
 		want, err := explore.Run(g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +253,7 @@ func TestExploreTopKOrdering(t *testing.T) {
 func TestExploreConstraints(t *testing.T) {
 	g := testGrid()
 	cons := explore.Constraints{MinSpeedup: 5, MaxDevices: 1, MaxUtilComm: 0.5}
-	res, err := explore.Run(g, explore.Options{Workers: 2, TopK: 1000, Constraints: cons})
+	res, err := explore.Run(g, explore.Options{Workers: 2, TopK: 1000, Constraints: cons, Frontier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestExploreMinCost(t *testing.T) {
 // function agrees with the engine's streaming construction.
 func TestFrontier(t *testing.T) {
 	g := testGrid()
-	res, err := explore.Run(g, explore.Options{Workers: 4, TopK: int(g.Size())})
+	res, err := explore.Run(g, explore.Options{Workers: 4, TopK: int(g.Size()), Frontier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +368,81 @@ func TestExploreEmptyAxesSingleCandidate(t *testing.T) {
 		if c.Speedup != want {
 			t.Errorf("%v speedup = %v, want %v", c.Buffering, c.Speedup, want)
 		}
+	}
+}
+
+// TestExploreTopKBeyondGrid: a TopK far beyond the grid keeps meaning
+// "all of them" without sizing anything by it.
+func TestExploreTopKBeyondGrid(t *testing.T) {
+	g := explore.Grid{Base: paper.PDF1DParams(), Clocks: []float64{core.MHz(100), core.MHz(150)}}
+	for _, workers := range []int{1, 3} {
+		res, err := explore.Run(g, explore.Options{Workers: workers, TopK: 1 << 40, Frontier: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evaluated != 4 || len(res.Top) != 4 {
+			t.Errorf("workers=%d: evaluated %d, kept %d, want all 4", workers, res.Evaluated, len(res.Top))
+		}
+	}
+}
+
+// exploreGridShaped is a grid of perfbench's explore-grid shape: 16
+// clocks x 16 throughput_procs x 4 alphas x 4 block sizes x 4 device
+// counts x 2 bufferings = 32,768 candidates in rows of 256.
+func exploreGridShaped() explore.Grid {
+	g := explore.Grid{
+		Base:       paper.PDF1DParams(),
+		Alphas:     []float64{0.15, 0.3, 0.55, 0.9},
+		BlockSizes: []int64{128, 512, 1024, 4096},
+		Devices:    []int{1, 2, 4, 8},
+		Topology:   core.SharedChannel,
+	}
+	for i := 0; i < 16; i++ {
+		g.Clocks = append(g.Clocks, core.MHz(float64(60+15*i)))
+		g.ThroughputProcs = append(g.ThroughputProcs, 5+2.5*float64(i))
+	}
+	return g
+}
+
+// TestExploreEvaluationsCounter: explore.evaluations counts the work a
+// run did, and explore.candidates the candidates it covered. One
+// worker does the same work every time, and a top-10 request on an
+// explore-grid-shaped grid evaluates under a tenth of what it covers
+// (under a fifth with the frontier).
+func TestExploreEvaluationsCounter(t *testing.T) {
+	g := exploreGridShaped()
+	base := core.MustPredict(g.Base)
+	for _, frontier := range []bool{false, true} {
+		opts := explore.Options{Workers: 1, TopK: 10, Frontier: frontier,
+			Constraints: explore.Constraints{MinSpeedup: base.SpeedupSingle}}
+		var first int64
+		for run := 0; run < 3; run++ {
+			reg := telemetry.NewRegistry()
+			opts.Metrics = reg
+			res, err := explore.Run(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evals := reg.Counter("explore.evaluations").Value()
+			if got := reg.Counter("explore.candidates").Value(); got != int64(res.Evaluated) || got != 32768 {
+				t.Fatalf("explore.candidates = %d, want the 32768 covered", got)
+			}
+			if run == 0 {
+				first = evals
+			} else if evals != first {
+				t.Errorf("frontier=%v: run %d evaluated %d, run 0 evaluated %d", frontier, run, evals, first)
+			}
+			// The frontier costs more work: its boxes must be tested
+			// and the undominated ones evaluated in full.
+			limit := int64(32768 / 10)
+			if frontier {
+				limit = 32768 / 5
+			}
+			if evals <= 0 || evals >= limit {
+				t.Errorf("frontier=%v: evaluated %d of 32768 covered, want under %d", frontier, evals, limit)
+			}
+		}
+		t.Logf("frontier=%v: %d evaluations", frontier, first)
 	}
 }
 
@@ -548,7 +623,7 @@ func TestFrontierIndependentOfInputOrder(t *testing.T) {
 		Devices:         []int{1, 2, 4},
 		Topology:        core.IndependentChannels,
 	}
-	res, err := explore.Run(g, explore.Options{Workers: 1, TopK: int(g.Size())})
+	res, err := explore.Run(g, explore.Options{Workers: 1, TopK: int(g.Size()), Frontier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestCompileRejectsExactlyNonFiniteGrids(t *testing.T) {
 		}
 		var st workerState
 		st.top.init(int(c.size), MaxSpeedup)
-		st.evalShard(c, Constraints{}, 0, c.size)
+		st.evalShard(c, Constraints{}, 0, c.size, false)
 		if uint64(len(st.top.items)) != c.size {
 			t.Fatalf("trial %d: kept %d of %d candidates", trial, len(st.top.items), c.size)
 		}

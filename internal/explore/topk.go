@@ -20,6 +20,10 @@ func (t *topK) init(k int, obj Objective) {
 	t.items = make([]Candidate, 0, k)
 }
 
+// full reports whether the heap holds K candidates, so that its root
+// is the K-th best seen.
+func (t *topK) full() bool { return len(t.items) == t.k }
+
 // worse reports whether items[i] ranks below items[j]; it is the heap
 // order (root = worst).
 func (t *topK) worse(i, j int) bool {

@@ -259,3 +259,55 @@ func TestDistributedExploreForwardsAPIKey(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreHugeTopK: a top_k far beyond the grid asks for every
+// candidate. The server must not size anything by it: JSON, JSONL and
+// distributed requests all answer 200 with the grid's 4 candidates,
+// and the server stays up.
+func TestExploreHugeTopK(t *testing.T) {
+	worker := httptest.NewServer(New(Config{}).Handler())
+	defer worker.Close()
+	req := api.ExploreRequest{
+		Worksheet: worksheet.DocFromParams(paper.PDF1DParams()),
+		ClocksMHz: []float64{100, 150},
+		TopK:      1 << 40,
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(worker.URL+"/v1/explore", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one api.ExploreResponse
+	err = json.NewDecoder(resp.Body).Decode(&one)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(one.Top) != 4 {
+		t.Errorf("JSON: HTTP %d, %d candidates (%v), want 200 with all 4", resp.StatusCode, len(one.Top), err)
+	}
+
+	resp, err = http.Post(worker.URL+"/v1/explore?stream=jsonl", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines bytes.Buffer
+	_, err = lines.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if n := strings.Count(lines.String(), `"kind":"top"`); resp.StatusCode != http.StatusOK || err != nil || n != 4 {
+		t.Errorf("JSONL: HTTP %d, %d top lines (%v), want 200 with all 4", resp.StatusCode, n, err)
+	}
+
+	coord := httptest.NewServer(New(Config{}).Handler())
+	defer coord.Close()
+	dresp, dbody := postDistributed(t, coord.URL, api.DistributedExploreRequest{
+		Explore: req, Workers: []string{worker.URL}, ShardSize: 2,
+	})
+	var dist api.DistributedExploreResponse
+	err = json.Unmarshal(dbody, &dist)
+	if dresp.StatusCode != http.StatusOK || err != nil || len(dist.Top) != 4 {
+		t.Errorf("distributed: HTTP %d, %d candidates (%v): %s; want 200 with all 4",
+			dresp.StatusCode, len(dist.Top), err, dbody)
+	}
+}

@@ -30,23 +30,23 @@ func startServer(t *testing.T, s *Server) (string, chan error) {
 	return "http://" + l.Addr().String(), served
 }
 
-// exploreBody builds a /v1/explore request whose grid is the product
-// of the axis lengths given — a compact body even for million-point
-// grids (bufferings default to both, doubling the product).
-func exploreBody(t *testing.T, clocks, tprocs, alphas int) []byte {
+// slowExploreBody builds a /v1/explore request the engine cannot
+// prune: 48 alphas x 48 block sizes x 48 device counts x 2 bufferings
+// = 221,184 candidates in one-candidate rows (no clock or
+// throughput_proc axis), with the frontier asked for. Every candidate
+// is evaluated and folded into a frontier of 9,556 members, which
+// takes one worker a few hundred milliseconds.
+func slowExploreBody(t *testing.T) []byte {
 	t.Helper()
 	req := api.ExploreRequest{
 		Worksheet: worksheet.DocFromParams(paper.PDF1DParams()),
 		TopK:      5,
+		Frontier:  true,
 	}
-	for i := 1; i <= clocks; i++ {
-		req.ClocksMHz = append(req.ClocksMHz, float64(i))
-	}
-	for i := 1; i <= tprocs; i++ {
-		req.ThroughputProcs = append(req.ThroughputProcs, float64(i))
-	}
-	for i := 1; i <= alphas; i++ {
-		req.Alphas = append(req.Alphas, float64(i)/float64(alphas+1))
+	for i := 1; i <= 48; i++ {
+		req.Alphas = append(req.Alphas, float64(i)/49)
+		req.BlockSizes = append(req.BlockSizes, 64*int64(i))
+		req.Devices = append(req.Devices, i)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -64,8 +64,8 @@ func TestGracefulShutdownCompletesInFlight(t *testing.T) {
 	srv := New(Config{Metrics: reg, ExploreWorkers: 1})
 	url, served := startServer(t, srv)
 
-	// Launch an exploration big enough to still be running when the
-	// drain begins (100x50x50x2 = 500k candidates on one worker).
+	// Launch an exploration slow enough to still be running when the
+	// drain begins.
 	type result struct {
 		status int
 		err    error
@@ -73,7 +73,7 @@ func TestGracefulShutdownCompletesInFlight(t *testing.T) {
 	got := make(chan result, 1)
 	go func() {
 		resp, err := http.Post(url+"/v1/explore", "application/json",
-			bytes.NewReader(exploreBody(t, 100, 50, 50)))
+			bytes.NewReader(slowExploreBody(t)))
 		if err != nil {
 			got <- result{err: err}
 			return
@@ -146,10 +146,10 @@ func TestShutdownDeadlineCancelsExplore(t *testing.T) {
 
 	got := make(chan int, 1)
 	go func() {
-		// 100x100x100x2 = 2M candidates: one worker cannot finish in
-		// the 100ms request deadline.
+		// One worker cannot finish this grid in the 100ms request
+		// deadline.
 		resp, err := http.Post(url+"/v1/explore", "application/json",
-			bytes.NewReader(exploreBody(t, 100, 100, 100)))
+			bytes.NewReader(slowExploreBody(t)))
 		if err != nil {
 			got <- -1
 			return

@@ -198,9 +198,11 @@ const (
 )
 
 var (
-	// Explore evaluates every candidate in a grid, in parallel, and
-	// returns the top-K and the Pareto frontier. The result is
-	// identical for any worker count.
+	// Explore searches a grid, in parallel, and returns the top-K and,
+	// when ExploreOptions.Frontier is set, the Pareto frontier. It
+	// evaluates only the candidates that can change that answer; the
+	// result is identical to evaluating every one, for any worker
+	// count.
 	Explore = explore.Run
 	// Frontier extracts the Pareto-optimal subset of candidates.
 	Frontier = explore.Frontier
