@@ -204,8 +204,14 @@ func (r ExploreRequest) Grid() (explore.Grid, error) {
 		Devices:         r.Devices,
 		Topology:        topo,
 	}
+	if len(r.ClocksMHz) > 0 {
+		g.Clocks = make([]float64, 0, len(r.ClocksMHz))
+	}
 	for _, mhz := range r.ClocksMHz {
 		g.Clocks = append(g.Clocks, core.MHz(mhz))
+	}
+	if len(r.Bufferings) > 0 {
+		g.Bufferings = make([]core.Buffering, 0, len(r.Bufferings))
 	}
 	for _, b := range r.Bufferings {
 		buf, err := ParseBuffering(b)

@@ -15,7 +15,7 @@ import "sort"
 // [idx, idx+1), which is bit-for-bit the whole-grid evaluation of
 // that candidate.
 func EvalIndices(g Grid, cons Constraints, indices []uint64) ([]Candidate, error) {
-	c, err := g.compile()
+	c, err := g.Compile()
 	if err != nil {
 		return nil, err
 	}

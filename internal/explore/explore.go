@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -255,11 +257,25 @@ const shardsPerWorker = 4
 // Result is byte-identical to evaluating every candidate, and for any
 // worker count. Memory use is O(workers x (TopK + frontier)) plus one
 // row of the grid, regardless of grid size.
+//
+// Run compiles the grid and runs it without a deadline; a caller that
+// needs the grid's size first, or cancellation, uses Grid.Compile and
+// Compiled.Run.
 func Run(g Grid, opts Options) (Result, error) {
-	c, err := g.compile()
+	c, err := g.Compile()
 	if err != nil {
 		return Result{}, err
 	}
+	return c.Run(context.Background(), opts)
+}
+
+// Run explores the compiled grid (see the package-level Run). The
+// calling goroutine is worker 0 and Workers-1 more are started; each
+// worker checks ctx before it takes a shard. A run whose context ends
+// stops within one shard per worker, span / (shardsPerWorker x
+// workers) candidates, and returns the context's error, never a
+// partial Result.
+func (c *Compiled) Run(ctx context.Context, opts Options) (Result, error) {
 	rangeLo, rangeHi := opts.IndexLo, opts.IndexHi
 	if rangeLo == 0 && rangeHi == 0 {
 		rangeHi = c.size
@@ -271,10 +287,6 @@ func Run(g Grid, opts Options) (Result, error) {
 		return Result{}, errGrid("index range [%d, %d) is empty", rangeLo, rangeHi)
 	}
 	span := rangeHi - rangeLo
-	// Single-assignment copies for the worker closures: rangeHi is
-	// reassigned above, so capturing it directly would box it on the
-	// heap (one allocation the whole-grid fast path never needed).
-	shardLo, shardHi := rangeLo, rangeHi
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.NumCPU()
@@ -292,62 +304,37 @@ func Run(g Grid, opts Options) (Result, error) {
 	if uint64(workerK) > span {
 		workerK = int(span)
 	}
-	p := newPlan(c, opts)
-
 	numShards := uint64(workers * shardsPerWorker)
-	shardSize := (span + numShards - 1) / numShards
-
-	var (
-		next       atomic.Uint64
-		shardTimer *telemetry.Timer
-	)
+	sh := &shards{
+		p:     newPlan(c, opts),
+		done:  ctx.Done(),
+		lo:    rangeLo,
+		hi:    rangeHi,
+		size:  (span + numShards - 1) / numShards,
+		count: numShards,
+		k:     workerK,
+		spans: opts.CollectSpans,
+	}
 	if opts.Metrics != nil {
-		shardTimer = opts.Metrics.Timer("explore.shard")
+		sh.timer = opts.Metrics.Timer("explore.shard")
 	}
 
 	states := make([]workerState, workers)
 	//rat:allow-wallclock wall time feeds Result.Elapsed telemetry only, never candidate ranking
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int, st *workerState) {
 			defer wg.Done()
-			st.top.init(workerK, opts.Objective)
-			for {
-				s := next.Add(1) - 1
-				if s >= numShards {
-					return
-				}
-				lo := shardLo + s*shardSize
-				hi := lo + shardSize
-				if hi > shardHi {
-					hi = shardHi
-				}
-				if lo >= hi {
-					continue
-				}
-				//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
-				shardStart := time.Now()
-				st.runShard(p, lo, hi)
-				//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
-				shardElapsed := time.Since(shardStart)
-				if shardTimer != nil {
-					shardTimer.Observe(shardElapsed)
-				}
-				if opts.CollectSpans {
-					st.spans = append(st.spans, ShardSpan{
-						Shard:   int(s),
-						Worker:  worker,
-						Lo:      lo,
-						Hi:      hi,
-						Elapsed: shardElapsed,
-					})
-				}
-			}
+			st.work(sh, worker)
 		}(w, &states[w])
 	}
+	states[0].work(sh, 0)
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	//rat:allow-wallclock wall time feeds Result.Elapsed telemetry only, never candidate ranking
 	elapsed := time.Since(start)
 
@@ -379,6 +366,58 @@ func Run(g Grid, opts Options) (Result, error) {
 	return res, nil
 }
 
+// shards is one Run's shared work queue: the plan, the index window
+// cut into count shards of size candidates, and the counter the
+// workers take shards from.
+type shards struct {
+	p           *plan
+	done        <-chan struct{} // the run's context; nil never ends
+	next        atomic.Uint64
+	lo, hi      uint64
+	size, count uint64
+	k           int // each worker's top-K size
+	timer       *telemetry.Timer
+	spans       bool
+}
+
+// work takes shards until none is left or the run's context ends.
+func (st *workerState) work(sh *shards, worker int) {
+	st.top.init(sh.k, sh.p.obj)
+	for {
+		select {
+		case <-sh.done:
+			return
+		default:
+		}
+		s := sh.next.Add(1) - 1
+		if s >= sh.count {
+			return
+		}
+		lo := sh.lo + s*sh.size
+		hi := min(lo+sh.size, sh.hi)
+		if lo >= hi {
+			continue
+		}
+		//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
+		shardStart := time.Now()
+		st.runShard(sh.p, lo, hi)
+		//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
+		shardElapsed := time.Since(shardStart)
+		if sh.timer != nil {
+			sh.timer.Observe(shardElapsed)
+		}
+		if sh.spans {
+			st.spans = append(st.spans, ShardSpan{
+				Shard:   int(s),
+				Worker:  worker,
+				Lo:      lo,
+				Hi:      hi,
+				Elapsed: shardElapsed,
+			})
+		}
+	}
+}
+
 // merge folds the per-worker results into the Result's counts, top-K
 // and frontier. Per-worker results depend only on which candidates
 // each worker saw, and the global sort erases that partitioning.
@@ -389,7 +428,7 @@ func merge(states []workerState, k int, obj Objective, frontier bool) Result {
 		res.Feasible += states[i].feasible
 		merged = append(merged, states[i].top.items...)
 	}
-	sort.Slice(merged, func(i, j int) bool { return obj.better(&merged[i], &merged[j]) })
+	slices.SortFunc(merged, func(a, b Candidate) int { return order(obj.better(&a, &b)) })
 	if len(merged) > k {
 		merged = merged[:k]
 	}
@@ -430,7 +469,7 @@ type workerState struct {
 // walk must agree with, and the path for short and cut rows.
 //
 //rat:hotpath
-func (st *workerState) evalShard(c *compiled, cons Constraints, lo, hi uint64, frontier bool) {
+func (st *workerState) evalShard(c *Compiled, cons Constraints, lo, hi uint64, frontier bool) {
 	st.evals += hi - lo
 	na, nd, nu, nc, nt := len(c.alphas), len(c.devs), len(c.bufs), len(c.clocks), len(c.tps)
 	bi, ai, di, ui, ci, ti := c.decode(lo)

@@ -102,7 +102,7 @@ func TestCompileRejectsExactlyNonFiniteGrids(t *testing.T) {
 				}
 			}
 		}
-		_, err = g.compile()
+		_, err = g.Compile()
 		switch {
 		case err == nil && nonFinite >= 0:
 			t.Fatalf("trial %d: compile accepted a grid whose candidate %+v is not finite", trial, st.top.items[nonFinite])

@@ -70,11 +70,12 @@ type alphaAxis struct {
 	write, read float64
 }
 
-// compiled is the normalized, validated form of a Grid: every axis
-// non-empty, every derived sub-term precomputed. It is built once per
-// Run and shared read-only by all workers — the "validate once per
+// Compiled is the normalized, validated form of a Grid: every axis
+// non-empty, every derived sub-term precomputed. Grid.Compile builds
+// it once per request; Size and any number of Runs then share it
+// read-only, as do all of a Run's workers — the "validate once per
 // grid" half of the batch contract.
-type compiled struct {
+type Compiled struct {
 	base   core.Parameters
 	blocks []blockAxis
 	alphas []alphaAxis
@@ -115,9 +116,10 @@ func checkAxis(name string, values []float64) error {
 	return nil
 }
 
-// compile validates the grid once and precomputes every invariant
-// sub-term of the candidate evaluation.
-func (g Grid) compile() (*compiled, error) {
+// Compile validates the grid and precomputes every invariant sub-term
+// of the candidate evaluation, including the overflow check. Its
+// errors wrap core.ErrInvalidParameters.
+func (g Grid) Compile() (*Compiled, error) {
 	c, err := g.precompute()
 	if err != nil {
 		return nil, err
@@ -128,9 +130,9 @@ func (g Grid) compile() (*compiled, error) {
 	return c, nil
 }
 
-// precompute is compile without the overflow check: it validates the
+// precompute is Compile without the overflow check: it validates the
 // axes and builds the memo tables.
-func (g Grid) precompute() (*compiled, error) {
+func (g Grid) precompute() (*Compiled, error) {
 	if err := g.Base.Validate(); err != nil {
 		return nil, fmt.Errorf("explore grid base: %w", err)
 	}
@@ -192,7 +194,7 @@ func (g Grid) precompute() (*compiled, error) {
 		}
 	}
 
-	c := &compiled{base: g.Base, topo: g.Topology}
+	c := &Compiled{base: g.Base, topo: g.Topology}
 
 	// Normalize axes: an empty axis is the base value alone.
 	c.clocks = g.Clocks
@@ -294,7 +296,7 @@ func (g Grid) precompute() (*compiled, error) {
 // candidate's numbers, the utilizations included, are finite; when
 // not, a corner candidate itself is not. The hot loop therefore needs
 // no check of its own.
-func (c *compiled) checkFinite() error {
+func (c *Compiled) checkFinite() error {
 	na := len(c.alphas)
 	denomLo, denomHi := c.denom[0], c.denom[0]
 	for _, d := range c.denom[1:] {
@@ -356,7 +358,7 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // fixed — blocks, alphas, devices, bufferings, clocks, throughput_procs
 // from outermost to innermost — so contiguous index ranges share the
 // expensive outer-axis sub-terms.
-func (c *compiled) decode(idx uint64) (bi, ai, di, ui, ci, ti int) {
+func (c *Compiled) decode(idx uint64) (bi, ai, di, ui, ci, ti int) {
 	ti = int(idx % uint64(len(c.tps)))
 	idx /= uint64(len(c.tps))
 	ci = int(idx % uint64(len(c.clocks)))
@@ -374,7 +376,7 @@ func (c *compiled) decode(idx uint64) (bi, ai, di, ui, ci, ti int) {
 // params materializes the full worksheet of candidate idx — the
 // Parameters that core.Predict / core.PredictMulti would be handed to
 // reproduce the candidate's numbers scalar-wise.
-func (c *compiled) params(idx uint64) (core.Parameters, core.MultiConfig, core.Buffering) {
+func (c *Compiled) params(idx uint64) (core.Parameters, core.MultiConfig, core.Buffering) {
 	bi, ai, di, ui, ci, ti := c.decode(idx)
 	p := c.base
 	b := c.blocks[bi]
@@ -388,20 +390,23 @@ func (c *compiled) params(idx uint64) (core.Parameters, core.MultiConfig, core.B
 	return p, core.MultiConfig{Devices: c.devs[di], Topology: c.topo}, c.bufs[ui]
 }
 
+// Size returns the compiled grid's candidate count.
+func (c *Compiled) Size() uint64 { return c.size }
+
 // Validate reports whether the grid can be explored.
 func (g Grid) Validate() error {
-	_, err := g.compile()
+	_, err := g.Compile()
 	return err
 }
 
 // Size returns the candidate count of the grid, or 0 when the grid is
 // invalid.
 func (g Grid) Size() uint64 {
-	c, err := g.compile()
+	c, err := g.Compile()
 	if err != nil {
 		return 0
 	}
-	return c.size
+	return c.Size()
 }
 
 // At materializes candidate i of the grid: the full worksheet, the
@@ -409,7 +414,7 @@ func (g Grid) Size() uint64 {
 // returned values to core.Predict (one device) or core.PredictMulti
 // reproduces the engine's numbers bit for bit.
 func (g Grid) At(i uint64) (core.Parameters, core.MultiConfig, core.Buffering, error) {
-	c, err := g.compile()
+	c, err := g.Compile()
 	if err != nil {
 		return core.Parameters{}, core.MultiConfig{}, 0, err
 	}

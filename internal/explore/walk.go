@@ -72,7 +72,7 @@ type slot struct {
 // plan is the per-Run state the workers share read-only: the compiled
 // grid, the request, and the row's positions in the two walk orders.
 type plan struct {
-	c        *compiled
+	c        *Compiled
 	cons     Constraints
 	obj      Objective
 	frontier bool
@@ -84,8 +84,13 @@ type plan struct {
 	byCost []slot
 }
 
-// newPlan sorts the row's positions once for the whole Run.
-func newPlan(c *compiled, opts Options) *plan {
+// newPlan orders the row's positions once for the whole Run. Axis
+// values are distinct, so sorting each axis once orders byCost
+// outright. For byD, each clock's positions taken in ascending
+// throughput_proc order form a run whose d never decreases (rounding
+// is monotone); equal products within a run are put in off order and
+// the runs merged, which is the (d, off) order a full sort gives.
+func newPlan(c *Compiled, opts Options) *plan {
 	p := &plan{
 		c: c, cons: opts.Constraints, obj: opts.Objective, frontier: opts.Frontier,
 		rowLen: uint64(len(c.clocks) * len(c.tps)),
@@ -94,31 +99,75 @@ func newPlan(c *compiled, opts Options) *plan {
 		return p
 	}
 	nt := len(c.tps)
-	p.byD = make([]slot, p.rowLen)
-	for ci, hz := range c.clocks {
-		for ti, tp := range c.tps {
-			off := ci*nt + ti
-			p.byD[off] = slot{d: c.denom[off], clock: hz, tp: tp, off: uint64(off)}
+	tpOrder := axisOrder(c.tps)
+	buf := make([]slot, 2*p.rowLen)
+	runs, spare := buf[:p.rowLen], buf[p.rowLen:]
+	for ci := range c.clocks {
+		run := runs[ci*nt : ci*nt+nt]
+		for j, ti := range tpOrder {
+			run[j] = c.slotAt(ci, int(ti))
 		}
-	}
-	if p.obj == MinCost {
-		p.byCost = slices.Clone(p.byD)
-		slices.SortFunc(p.byCost, func(a, b slot) int {
-			if a.tp != b.tp {
-				return order(a.tp < b.tp)
+		// Equal products sit next to each other; order them by off.
+		for j := 1; j < nt; j++ {
+			for i := j; i > 0 && run[i].d == run[i-1].d && run[i].off < run[i-1].off; i-- {
+				run[i], run[i-1] = run[i-1], run[i]
 			}
-			return order(a.clock < b.clock)
-		})
-	}
-	// Axis values are finite and positive, so no product is NaN and
-	// < is a total order on d.
-	slices.SortFunc(p.byD, func(a, b slot) int {
-		if a.d != b.d {
-			return order(a.d < b.d)
 		}
-		return order(a.off < b.off)
-	})
+	}
+	var free []slot
+	p.byD, free = mergeRuns(runs, spare, nt)
+	if p.obj == MinCost {
+		p.byCost = free[:0]
+		clockOrder := axisOrder(c.clocks)
+		for _, ti := range tpOrder {
+			for _, ci := range clockOrder {
+				p.byCost = append(p.byCost, c.slotAt(int(ci), int(ti)))
+			}
+		}
+	}
 	return p
+}
+
+// slotAt is the row position of clock ci and throughput_proc ti.
+func (c *Compiled) slotAt(ci, ti int) slot {
+	off := ci*len(c.tps) + ti
+	return slot{d: c.denom[off], clock: c.clocks[ci], tp: c.tps[ti], off: uint64(off)}
+}
+
+// axisOrder returns the indices of vals in ascending order of value.
+// Axis values are finite and distinct, so the order is total.
+func axisOrder(vals []float64) []int32 {
+	idx := make([]int32, len(vals))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return order(vals[a] < vals[b]) })
+	return idx
+}
+
+// mergeRuns sorts src by (d, off), given that it is made of runs of
+// width positions each already in that order: a bottom-up merge that
+// ping-pongs between src and spare (of src's length). It returns the
+// buffer holding the result and the one left free.
+func mergeRuns(src, spare []slot, width int) (sorted, free []slot) {
+	n := len(src)
+	for ; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j := lo, mid
+			for k := lo; k < hi; k++ {
+				if j == hi || i < mid && slotLess(&src[i], &src[j]) {
+					spare[k] = src[i]
+					i++
+				} else {
+					spare[k] = src[j]
+					j++
+				}
+			}
+		}
+		src, spare = spare, src
+	}
+	return src, spare
 }
 
 // order is a three-way comparison result for two distinct keys.
@@ -127,6 +176,15 @@ func order(less bool) int {
 		return -1
 	}
 	return 1
+}
+
+// slotLess is the byD order: d, then off. Offsets are distinct and no
+// product is NaN, so it is total.
+func slotLess(a, b *slot) bool {
+	if a.d != b.d {
+		return a.d < b.d
+	}
+	return a.off < b.off
 }
 
 // runShard explores candidates [lo, hi): the full rows by the row

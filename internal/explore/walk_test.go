@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/chrec/rat/internal/core"
@@ -14,7 +16,7 @@ import (
 // merges.
 func exhaustive(t testing.TB, g Grid, opts Options) Result {
 	t.Helper()
-	c, err := g.compile()
+	c, err := g.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 		g := caseGrid(ch)
 		opts := caseOptions(t, ch, g)
 		checkPruned(t, g, opts)
-		c, err := g.compile()
+		c, err := g.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,4 +325,81 @@ func TestPrunedMatchesExhaustiveAcrossBatches(t *testing.T) {
 				Constraints: Constraints{MinSpeedup: base.SpeedupSingle}})
 		}
 	}
+}
+
+// TestPlanOrderMatchesSort: the plan's merged byD and its byCost are
+// exactly what sorting every row position gives, on random grids
+// whose clock x throughput_proc products tie across clocks (100 MHz x
+// 3 = 150 MHz x 2) and within one clock (throughput_procs an ulp
+// apart whose products round to the same value).
+func TestPlanOrderMatchesSort(t *testing.T) {
+	const trials = 2000
+	r := rand.New(rand.NewSource(17))
+	var acrossTies, withinTies int
+	for trial := 0; trial < trials; trial++ {
+		g := Grid{Base: paper.PDF1DParams()}
+		for _, i := range r.Perm(8)[:2+r.Intn(7)] {
+			g.Clocks = append(g.Clocks, core.MHz([]float64{50, 75, 100, 150, 200, 300, 400, 600}[i]))
+		}
+		for _, i := range r.Perm(8)[:1+r.Intn(8)] {
+			g.ThroughputProcs = append(g.ThroughputProcs, []float64{1, 1.5, 2, 3, 4, 6, 8, 12}[i])
+		}
+		tp := 1 + 15*r.Float64()
+		for i := r.Intn(5); i > 0; i-- {
+			g.ThroughputProcs = append(g.ThroughputProcs, tp)
+			tp = math.Nextafter(tp, math.Inf(1))
+		}
+		r.Shuffle(len(g.ThroughputProcs), func(i, j int) {
+			g.ThroughputProcs[i], g.ThroughputProcs[j] = g.ThroughputProcs[j], g.ThroughputProcs[i]
+		})
+		c, err := g.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newPlan(c, Options{Objective: MinCost})
+		nt := len(c.tps)
+		all := make([]slot, 0, len(c.denom))
+		for off, d := range c.denom {
+			all = append(all, slot{d: d, clock: c.clocks[off/nt], tp: c.tps[off%nt], off: uint64(off)})
+		}
+		if len(all) < shortRow {
+			if p.byD != nil || p.byCost != nil {
+				t.Fatalf("trial %d: a %d-position row got a walk order", trial, len(all))
+			}
+			continue
+		}
+		wantD := slices.Clone(all)
+		slices.SortFunc(wantD, func(a, b slot) int {
+			if a.d != b.d {
+				return cmp.Compare(a.d, b.d)
+			}
+			return cmp.Compare(a.off, b.off)
+		})
+		wantCost := slices.Clone(all)
+		slices.SortFunc(wantCost, func(a, b slot) int {
+			if a.tp != b.tp {
+				return cmp.Compare(a.tp, b.tp)
+			}
+			return cmp.Compare(a.clock, b.clock)
+		})
+		if !slices.Equal(p.byD, wantD) {
+			t.Fatalf("trial %d: byD differs from the sorted order\ngot  %v\nwant %v", trial, p.byD, wantD)
+		}
+		if !slices.Equal(p.byCost, wantCost) {
+			t.Fatalf("trial %d: byCost differs from the sorted order\ngot  %v\nwant %v", trial, p.byCost, wantCost)
+		}
+		for i := 1; i < len(wantD); i++ {
+			if a, b := &wantD[i-1], &wantD[i]; a.d == b.d {
+				if a.clock == b.clock {
+					withinTies++
+				} else {
+					acrossTies++
+				}
+			}
+		}
+	}
+	if acrossTies == 0 || withinTies == 0 {
+		t.Fatalf("%d ties across clocks and %d within one; the generator misses a case", acrossTies, withinTies)
+	}
+	t.Logf("%d ties across clocks, %d within one clock", acrossTies, withinTies)
 }

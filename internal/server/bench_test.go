@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/chrec/rat/internal/api"
+	"github.com/chrec/rat/internal/core"
 	"github.com/chrec/rat/internal/obs"
 	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/tenant"
@@ -187,5 +191,54 @@ func BenchmarkServerPredictTenanted(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ph.run(b)
+	}
+}
+
+// explorePayload is an explore-grid-shaped /v1/explore body: 16 clocks
+// x 16 throughput_procs rows x 4 alphas x 4 block sizes x 4 device
+// counts x 2 bufferings = 32,768 candidates around the 1-D PDF
+// worksheet, top 10 by speedup above a speedup floor.
+func explorePayload(b *testing.B, frontier bool) []byte {
+	base := paper.PDF1DParams()
+	req := api.ExploreRequest{
+		Worksheet:  worksheet.DocFromParams(base),
+		Alphas:     []float64{0.2, 0.4, 0.6, 0.8},
+		BlockSizes: []int64{base.Dataset.ElementsIn / 2, base.Dataset.ElementsIn, 2 * base.Dataset.ElementsIn, 4 * base.Dataset.ElementsIn},
+		Devices:    []int{1, 2, 4, 8},
+		Topology:   "independent",
+		TopK:       10,
+		MinSpeedup: math.Round(core.MustPredict(base).SpeedupSingle*100) / 100,
+		Frontier:   frontier,
+	}
+	for i := 0; i < 16; i++ {
+		req.ClocksMHz = append(req.ClocksMHz, float64(50+15*i))
+		req.ThroughputProcs = append(req.ThroughputProcs, math.Round(base.Comp.ThroughputProc*math.Exp2(float64(i-8)/4)*10)/10)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkServerExplore measures one default-config POST /v1/explore
+// in process — admission, body read, wire decode, one compile, the
+// engine, wire encode, write — on an explore-grid-shaped grid, top-K
+// only and with the frontier. Not gated.
+func BenchmarkServerExplore(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		frontier bool
+	}{{"TopK", false}, {"Frontier", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ph := newPredictHarness(New(Config{}).Handler(), explorePayload(b, tc.frontier), nil)
+			ph.req.URL.Path, ph.req.RequestURI = "/v1/explore", "/v1/explore"
+			ph.warm(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ph.run(b)
+			}
+		})
 	}
 }

@@ -60,34 +60,17 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	grid, err := req.Explore.Grid()
+	job, err := prepareExplore(&req.Explore, 0)
 	if err != nil {
-		if !errors.Is(err, core.ErrInvalidParameters) {
-			err = fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
-		}
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	if err := grid.Validate(); err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
 	// The distributed ceiling is fleet-scale, far above the per-node
 	// one: each shard re-passes the per-node ceiling on its worker.
-	span := grid.Size()
-	if req.Explore.IndexLo != 0 || req.Explore.IndexHi != 0 {
-		if req.Explore.IndexHi > span || req.Explore.IndexLo >= req.Explore.IndexHi {
-			err := fmt.Errorf("%w: invalid index range [%d, %d) for grid size %d",
-				core.ErrInvalidParameters, req.Explore.IndexLo, req.Explore.IndexHi, span)
-			writeError(w, httpStatus(err), err)
-			return
-		}
-		span = req.Explore.IndexHi - req.Explore.IndexLo
-	}
-	if span > s.cfg.MaxDistributedCandidates {
+	if job.span > s.cfg.MaxDistributedCandidates {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request asks for %d candidates; this server caps distributed explorations at %d",
-				span, s.cfg.MaxDistributedCandidates))
+				job.span, s.cfg.MaxDistributedCandidates))
 		return
 	}
 

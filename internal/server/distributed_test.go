@@ -311,3 +311,46 @@ func TestExploreHugeTopK(t *testing.T) {
 			dresp.StatusCode, len(dist.Top), err, dbody)
 	}
 }
+
+// TestExploreEndpointsRejectAlike: /v1/explore and
+// /v1/explore/distributed share one preparation path, so every request
+// that one rejects before any work is done, the other rejects with the
+// same 4xx. The worker list is unreachable: no case may get far enough
+// to dispatch.
+func TestExploreEndpointsRejectAlike(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		name string
+		mod  func(*api.ExploreRequest)
+	}{
+		{"unknown topology", func(r *api.ExploreRequest) { r.Topology = "ring" }},
+		{"unknown buffering", func(r *api.ExploreRequest) { r.Bufferings = []string{"triple"} }},
+		{"unknown objective", func(r *api.ExploreRequest) { r.Objective = "max-fun" }},
+		{"duplicate clock", func(r *api.ExploreRequest) { r.ClocksMHz = []float64{100, 100} }},
+		{"invalid base", func(r *api.ExploreRequest) { r.Worksheet.Comp.ClockMHz = -1 }},
+		{"overflowing base", func(r *api.ExploreRequest) {
+			r.Worksheet.Dataset.BytesPerElement = 1e300
+			r.BlockSizes = []int64{1 << 40}
+		}},
+		{"index range past the grid", func(r *api.ExploreRequest) { r.IndexLo, r.IndexHi = 0, 1000 }},
+		{"empty index range", func(r *api.ExploreRequest) { r.IndexLo, r.IndexHi = 5, 5 }},
+	} {
+		dreq := distExploreRequest([]string{"http://127.0.0.1:1"})
+		tc.mod(&dreq.Explore)
+		resp, dbody := postDistributed(t, ts.URL, dreq)
+		body, err := json.Marshal(dreq.Explore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single.Body.Close()
+		if single.StatusCode != http.StatusBadRequest || resp.StatusCode != single.StatusCode {
+			t.Errorf("%s: /v1/explore answered %d, /v1/explore/distributed %d (%s); want 400 from both",
+				tc.name, single.StatusCode, resp.StatusCode, dbody)
+		}
+	}
+}

@@ -22,8 +22,9 @@ import (
 )
 
 // jsonMarshal is encoding/json.Marshal, named so the remaining
-// cold-path wire-writing sites (errors, status, explore) read
-// uniformly. The predict paths use internal/wire instead.
+// cold-path wire-writing sites (errors, status, distributed explore)
+// read uniformly. The predict and explore paths use internal/wire
+// instead.
 func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 
 // httpStatus maps a request-shaped error to its status code: anything
@@ -439,12 +440,64 @@ func checkFiniteBatch(preds []core.Prediction) error {
 	return nil
 }
 
+// exploreJob is an explore request made ready to run: its grid
+// compiled once, the candidate span it asks for, and its options.
+type exploreJob struct {
+	grid *explore.Compiled
+	span uint64
+	opts explore.Options
+}
+
+// prepareExplore is the one validation path of both explore
+// endpoints: it builds the request's grid, compiles it once, checks
+// the index range and parses the options. Every failure wraps
+// core.ErrInvalidParameters (400), so /v1/explore and
+// /v1/explore/distributed reject the same requests the same way.
+// The span is the index range's width when one is set: a sharded
+// request is charged for its slice, not the whole grid, so a
+// coordinator can spread a grid far beyond any single node's ceiling
+// across a fleet.
+func prepareExplore(req *api.ExploreRequest, workers int) (exploreJob, error) {
+	grid, err := req.Grid()
+	if err != nil {
+		if !errors.Is(err, core.ErrInvalidParameters) {
+			err = fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
+		}
+		return exploreJob{}, err
+	}
+	c, err := grid.Compile()
+	if err != nil {
+		return exploreJob{}, err
+	}
+	span := c.Size()
+	if req.IndexLo != 0 || req.IndexHi != 0 {
+		if req.IndexHi > span || req.IndexLo >= req.IndexHi {
+			return exploreJob{}, fmt.Errorf("%w: invalid index range [%d, %d) for grid size %d",
+				core.ErrInvalidParameters, req.IndexLo, req.IndexHi, span)
+		}
+		span = req.IndexHi - req.IndexLo
+	}
+	opts, err := req.Options(workers)
+	if err != nil {
+		return exploreJob{}, fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
+	}
+	return exploreJob{grid: c, span: span, opts: opts}, nil
+}
+
 // handleExplore serves POST /v1/explore: a bounded grid search via
-// internal/explore. The candidate ceiling is server-enforced; grids
-// beyond it are refused outright (413) rather than queued, because no
-// deadline could save them. With ?stream=jsonl the response is JSONL:
-// top candidates, then frontier candidates when requested, then a
-// summary line.
+// internal/explore, in one pass on the request goroutine. The body is
+// read into pooled scratch and decoded by internal/wire, the grid is
+// compiled once, the engine runs under the request context, and the
+// response is rendered by internal/wire. The candidate ceiling is
+// server-enforced; grids beyond it are refused outright (413) rather
+// than queued, because no deadline could save them. With
+// ?stream=jsonl the response is JSONL: top candidates, then frontier
+// candidates when requested, then a summary line.
+//
+// The engine checks the request context at every shard boundary, so
+// a client that leaves or a deadline that passes stops it within one
+// shard (a 504), and the admission slot is released only once the
+// engine has returned.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	clk := s.stageClock(w)
 	clk.start()
@@ -460,83 +513,43 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req api.ExploreRequest
-	if err := dec.Decode(&req); err != nil {
-		err = fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	grid, err := req.Grid()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	body, err := sc.readBody(r.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
-		if !errors.Is(err, core.ErrInvalidParameters) {
-			err = fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
-		}
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	if err := grid.Validate(); err != nil {
+	req, err := wire.DecodeExploreRequest(body)
+	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	// The ceiling applies to the evaluated span: a sharded request
-	// (index_lo/index_hi set) is charged for its slice, not the whole
-	// grid, so a coordinator can spread a grid far beyond any single
-	// node's ceiling across a fleet.
-	span := grid.Size()
-	if req.IndexLo != 0 || req.IndexHi != 0 {
-		if req.IndexHi > span || req.IndexLo >= req.IndexHi {
-			err := fmt.Errorf("%w: invalid index range [%d, %d) for grid size %d",
-				core.ErrInvalidParameters, req.IndexLo, req.IndexHi, span)
-			writeError(w, httpStatus(err), err)
-			return
-		}
-		span = req.IndexHi - req.IndexLo
+	job, err := prepareExplore(&req, s.cfg.ExploreWorkers)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return
 	}
 	// The ceiling is the configured one stepped down by the brownout
 	// level: under sustained overload bulk explorations shrink before
 	// the interactive path is ever touched.
-	if ceiling := s.exploreCeiling(); span > ceiling {
+	if ceiling := s.exploreCeiling(); job.span > ceiling {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request asks for %d candidates; this server currently caps explorations at %d",
-				span, ceiling))
+				job.span, ceiling))
 		return
 	}
-	opts, err := req.Options(s.cfg.ExploreWorkers)
-	if err != nil {
-		err = fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
-		writeError(w, httpStatus(err), err)
-		return
+	var stream, wantSpans bool
+	if r.URL.RawQuery != "" { // Query() allocates; the common request has no query
+		q := r.URL.Query()
+		stream = q.Get("stream") == "jsonl"
+		wantSpans = stream && q.Get("spans") == "1"
 	}
-	opts.Metrics = s.reg
-	stream := r.URL.Query().Get("stream") == "jsonl"
-	wantSpans := stream && r.URL.Query().Get("spans") == "1"
-	opts.CollectSpans = wantSpans
+	job.opts.Metrics = s.reg
+	job.opts.CollectSpans = wantSpans
 
-	// The engine has no preemption points, so run it to the side and
-	// honor the request deadline at the HTTP layer; the ceiling above
-	// bounds how much work an abandoned run can burn.
-	type exploreOut struct {
-		res explore.Result
-		err error
-	}
-	done := make(chan exploreOut, 1)
-	go func() {
-		res, err := explore.Run(grid, opts)
-		done <- exploreOut{res, err}
-	}()
-	var res explore.Result
-	select {
-	case out := <-done:
-		if out.err != nil {
-			writeError(w, httpStatus(out.err), out.err)
-			return
-		}
-		res = out.res
-	case <-r.Context().Done():
-		err := r.Context().Err()
+	res, err := job.grid.Run(r.Context(), job.opts)
+	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
@@ -545,67 +558,21 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	clk.record(obs.StageKernel, res.Elapsed)
 
 	if stream {
+		sc.out = wire.AppendExploreJSONL(sc.out[:0], &res, req.Frontier, wantSpans)
+		w.Header().Set("Content-Type", "application/x-ndjson")
 		clk.setHeader(w, r)
-		writeExploreJSONL(w, res, req.Frontier, wantSpans)
+		w.Write(sc.out)
 		return
 	}
 	clk.start()
-	out, err := jsonMarshal(api.ExploreResponseFromCore(res, req.Frontier))
+	sc.out, err = wire.AppendExploreResponse(sc.out[:0], &res, req.Frontier)
 	clk.stop(obs.StageEncode)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	clk.setHeader(w, r)
-	writeJSONBytes(w, out)
-}
-
-// writeExploreJSONL streams an exploration result as JSONL. Span lines
-// (per-shard engine timing) are emitted only when asked for — older
-// consumers treat unknown line kinds as an error.
-func writeExploreJSONL(w http.ResponseWriter, res explore.Result, frontier, spans bool) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	emit := func(line api.ExploreLine) bool { return enc.Encode(line) == nil }
-	for i := range res.Top {
-		c := api.CandidateFromCore(res.Top[i])
-		if !emit(api.ExploreLine{Kind: "top", Candidate: &c}) {
-			return
-		}
-	}
-	if frontier {
-		for i := range res.Frontier {
-			c := api.CandidateFromCore(res.Frontier[i])
-			if !emit(api.ExploreLine{Kind: "frontier", Candidate: &c}) {
-				return
-			}
-		}
-	}
-	if spans {
-		for i := range res.Spans {
-			sp := res.Spans[i]
-			line := api.ShardSpan{
-				Shard:          sp.Shard,
-				Worker:         sp.Worker,
-				Lo:             sp.Lo,
-				Hi:             sp.Hi,
-				ElapsedSeconds: sp.Elapsed.Seconds(),
-			}
-			if !emit(api.ExploreLine{Kind: "span", Span: &line}) {
-				return
-			}
-		}
-	}
-	emit(api.ExploreLine{Kind: "summary", Summary: &api.ExploreSummary{
-		Evaluated:        res.Evaluated,
-		Feasible:         res.Feasible,
-		Workers:          res.Workers,
-		ElapsedSeconds:   res.Elapsed.Seconds(),
-		CandidatesPerSec: res.CandidatesPerSec,
-	}})
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	writeJSONBytes(w, sc.out)
 }
 
 // handleHealthz reports liveness: the process is up and serving.
