@@ -9,212 +9,27 @@ import (
 	"github.com/chrec/rat/internal/telemetry"
 )
 
-// admClass indexes the admission classes sharing the server's
-// capacity pool. Interactive predict outranks the bulk classes;
-// within a class, waiters are served FIFO.
-type admClass int
-
-const (
-	clsPredict admClass = iota // interactive: priority 0
-	clsBatch                   // bulk: priority 1
-	clsExplore                 // bulk: priority 1
-	numClasses
-)
-
-// classPriority orders classes for grants: lower wins. Predict is the
-// interactive tier; batch and explore are peers in the bulk tier.
-var classPriority = [numClasses]int{0, 1, 1}
-
-// grantOrder is the class scan order on release: strictly by
-// priority, ties broken by class index (deterministic).
-var grantOrder = [numClasses]admClass{clsPredict, clsBatch, clsExplore}
-
 type waiter struct {
 	n     int64
 	ready chan struct{} // closed when the weight has been granted
 }
 
-// classState is one class's slice of the shared pool: its concurrency
-// limit, current holdings, and FIFO waiter queue.
-type classState struct {
-	limit   int64
-	cur     int64
-	waiters list.List // of *waiter
-}
-
-// prioritySem is the weighted, class-prioritized semaphore behind
-// admission control. It replaces the per-endpoint FIFO semaphores: one
-// shared total capacity, a per-class limit (the old per-endpoint
-// limit), and strict-priority grants — capacity freed while an
-// interactive waiter is queued on the total is never handed to a bulk
-// waiter. A bulk waiter can still be granted while an interactive
-// waiter is blocked purely on its own class limit, so priority never
-// idles the pool. Within a class, waiters are FIFO: a heavy batch
-// cannot be starved by a stream of light ones.
-type prioritySem struct {
-	mu    sync.Mutex
-	total int64
-	cur   int64
-	cls   [numClasses]classState
-}
-
-// newPrioritySem builds the shared pool. total <= 0 defaults to the
-// sum of the class limits (each endpoint can then always reach its
-// own limit when the others are idle).
-func newPrioritySem(total int64, limits [numClasses]int64) *prioritySem {
-	sum := int64(0)
-	for _, l := range limits {
-		sum += l
-	}
-	if total <= 0 {
-		total = sum
-	}
-	s := &prioritySem{total: total}
-	for c := range s.cls {
-		s.cls[c].limit = limits[c]
-	}
-	return s
-}
-
-// fitsLocked reports whether weight n can be granted to class c right
-// now: class limit, total capacity, FIFO within the class, and no
-// higher-priority class starving behind it.
-func (s *prioritySem) fitsLocked(c admClass, n int64) bool {
-	cs := &s.cls[c]
-	if cs.waiters.Len() > 0 {
-		return false // FIFO within the class
-	}
-	if cs.cur+n > cs.limit || s.cur+n > s.total {
-		return false
-	}
-	for d := admClass(0); d < numClasses; d++ {
-		if classPriority[d] >= classPriority[c] {
-			continue
-		}
-		if front := s.cls[d].waiters.Front(); front != nil {
-			w := front.Value.(*waiter)
-			// A higher-priority waiter held back only by the shared total
-			// has a reservation on freed capacity: never barge past it.
-			// One blocked purely on its own class limit holds nothing.
-			if s.cls[d].cur+w.n <= s.cls[d].limit && s.cur+n+w.n > s.total {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tryAcquire takes n units for class c without blocking.
-func (s *prioritySem) tryAcquire(c admClass, n int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fitsLocked(c, n) {
-		s.cls[c].cur += n
-		s.cur += n
-		return true
-	}
-	return false
-}
-
-// acquire takes n units for class c, blocking until granted or ctx is
-// done.
-func (s *prioritySem) acquire(ctx context.Context, c admClass, n int64) error {
-	s.mu.Lock()
-	if s.fitsLocked(c, n) {
-		s.cls[c].cur += n
-		s.cur += n
-		s.mu.Unlock()
-		return nil
-	}
-	w := &waiter{n: n, ready: make(chan struct{})}
-	elem := s.cls[c].waiters.PushBack(w)
-	s.mu.Unlock()
-
-	select {
-	case <-w.ready:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		select {
-		case <-w.ready:
-			// Granted between ctx firing and taking the lock: keep the
-			// units and report success; the caller will release them.
-			s.mu.Unlock()
-			return nil
-		default:
-		}
-		s.cls[c].waiters.Remove(elem)
-		// Removing a waiter can unblock the ones behind it — in this
-		// class and in lower-priority ones.
-		s.notifyLocked()
-		s.mu.Unlock()
-		return ctx.Err()
-	}
-}
-
-// release returns n units held by class c and grants as many queued
-// waiters as now fit, in priority order.
-func (s *prioritySem) release(c admClass, n int64) {
-	s.mu.Lock()
-	s.cls[c].cur -= n
-	s.cur -= n
-	if s.cls[c].cur < 0 || s.cur < 0 {
-		s.mu.Unlock()
-		//rat:allow-panic a double release corrupts admission accounting for every later request
-		panic("server: admission released more than held")
-	}
-	s.notifyLocked()
-	s.mu.Unlock()
-}
-
-// notifyLocked grants queued waiters in strict priority order, FIFO
-// within each class. Once a waiter is blocked on the shared total, no
-// lower-priority waiter may be granted past it (the reservation that
-// makes priority real); a waiter blocked only on its own class limit
-// does not hold lower classes back.
-func (s *prioritySem) notifyLocked() {
-	totalBlocked := false
-	for _, c := range grantOrder {
-		cs := &s.cls[c]
-		for {
-			front := cs.waiters.Front()
-			if front == nil {
-				break
-			}
-			w := front.Value.(*waiter)
-			if totalBlocked || s.cur+w.n > s.total {
-				break
-			}
-			if cs.cur+w.n > cs.limit {
-				break // FIFO within the class: do not reorder past the head
-			}
-			cs.cur += w.n
-			s.cur += w.n
-			cs.waiters.Remove(front)
-			close(w.ready)
-		}
-		if front := cs.waiters.Front(); front != nil {
-			if w := front.Value.(*waiter).n; s.cur+w > s.total {
-				totalBlocked = true
-			}
-		}
-	}
-}
-
-// admission is one endpoint's view of the shared pool: its class, a
-// bounded queue wait, and telemetry (in-flight gauge, high-water-mark
-// gauge, admitted/rejected counters). Requests that cannot be admitted
-// within the wait bound are rejected — the handler turns that into
-// 429 + Retry-After.
+// admission is one endpoint's weighted FIFO semaphore: a concurrency
+// limit, a bounded queue wait, and telemetry (in-flight gauge,
+// high-water-mark gauge, admitted/rejected counters). Each endpoint
+// has its own, so endpoints never wait on each other. Waiters are
+// granted in arrival order and never past the head of the queue: a
+// heavy batch cannot be starved by a stream of light ones. Requests
+// that cannot be admitted within the wait bound are rejected — the
+// handler turns that into 429 + Retry-After.
 type admission struct {
-	sem   *prioritySem
-	class admClass
 	limit int64
 	wait  time.Duration
 
-	mu   sync.Mutex
-	cur  int64
-	peak int64
+	mu      sync.Mutex
+	cur     int64
+	peak    int64
+	waiters list.List // of *waiter
 
 	inflight *telemetry.Gauge
 	peakG    *telemetry.Gauge
@@ -222,13 +37,11 @@ type admission struct {
 	rejected *telemetry.Counter
 }
 
-// newAdmission builds the named endpoint's view of the shared pool
-// with the given maximum queue wait.
-func newAdmission(reg *telemetry.Registry, sem *prioritySem, class admClass, endpoint string, wait time.Duration) *admission {
+// newAdmission builds the named endpoint's semaphore with the given
+// concurrency limit and maximum queue wait.
+func newAdmission(reg *telemetry.Registry, endpoint string, limit int64, wait time.Duration) *admission {
 	return &admission{
-		sem:      sem,
-		class:    class,
-		limit:    sem.cls[class].limit,
+		limit:    limit,
 		wait:     wait,
 		inflight: reg.Gauge("server.inflight." + endpoint),
 		peakG:    reg.Gauge("server.inflight_peak." + endpoint),
@@ -238,13 +51,13 @@ func newAdmission(reg *telemetry.Registry, sem *prioritySem, class admClass, end
 }
 
 // admit asks for weight units of the endpoint's capacity, queueing for
-// at most the controller's wait bound (never beyond the request's own
-// deadline — a request that would be granted after its deadline is
-// abandoned in the queue, not executed late). On success it returns
-// the granted weight, which the caller must hand back to release
-// (returning the weight instead of a closure keeps the grant off the
-// heap — `defer a.release(granted)` is allocation-free); on saturation
-// it returns ok == false and the caller answers 429.
+// at most the wait bound (never beyond the request's own deadline — a
+// request that would be granted after its deadline is abandoned in the
+// queue, not executed late). On success it returns the granted weight,
+// which the caller must hand back to release (returning the weight
+// instead of a closure keeps the grant off the heap —
+// `defer a.release(granted)` is allocation-free); on saturation it
+// returns ok == false and the caller answers 429.
 func (a *admission) admit(ctx context.Context, weight int64) (granted int64, ok bool) {
 	if weight < 1 {
 		weight = 1
@@ -252,36 +65,83 @@ func (a *admission) admit(ctx context.Context, weight int64) (granted int64, ok 
 	if weight > a.limit {
 		weight = a.limit // one huge request may use the whole endpoint, not more
 	}
-	if !a.sem.tryAcquire(a.class, weight) {
-		if a.wait <= 0 {
-			a.rejected.Inc()
-			return 0, false
-		}
-		waitCtx, cancel := context.WithTimeout(ctx, a.wait)
-		err := a.sem.acquire(waitCtx, a.class, weight)
-		cancel()
-		if err != nil {
-			a.rejected.Inc()
-			return 0, false
-		}
-	}
-	a.admitted.Inc()
 	a.mu.Lock()
-	a.cur += weight
+	if a.waiters.Len() == 0 && a.cur+weight <= a.limit {
+		a.grantLocked(weight)
+		a.mu.Unlock()
+		return weight, true
+	}
+	if a.wait <= 0 {
+		a.mu.Unlock()
+		a.rejected.Inc()
+		return 0, false
+	}
+	w := &waiter{n: weight, ready: make(chan struct{})}
+	elem := a.waiters.PushBack(w)
+	a.mu.Unlock()
+
+	timer := time.NewTimer(a.wait)
+	defer timer.Stop()
+	select {
+	case <-w.ready:
+		return weight, true
+	case <-ctx.Done():
+	case <-timer.C:
+	}
+	a.mu.Lock()
+	select {
+	case <-w.ready:
+		// Granted between the wait ending and taking the lock: keep the
+		// units and report success; the caller will release them.
+		a.mu.Unlock()
+		return weight, true
+	default:
+	}
+	a.waiters.Remove(elem)
+	// Removing the head can unblock the waiters behind it.
+	a.notifyLocked()
+	a.mu.Unlock()
+	a.rejected.Inc()
+	return 0, false
+}
+
+// release returns a grant obtained from admit and grants as many
+// queued waiters as now fit, in arrival order.
+func (a *admission) release(weight int64) {
+	a.mu.Lock()
+	a.cur -= weight
+	if a.cur < 0 {
+		a.mu.Unlock()
+		//rat:allow-panic a double release corrupts admission accounting for every later request
+		panic("server: admission released more than held")
+	}
+	a.inflight.Set(float64(a.cur))
+	a.notifyLocked()
+	a.mu.Unlock()
+}
+
+// grantLocked takes n units, counts the admission and publishes the
+// in-flight gauges.
+func (a *admission) grantLocked(n int64) {
+	a.admitted.Inc()
+	a.cur += n
 	if a.cur > a.peak {
 		a.peak = a.cur
 		a.peakG.Set(float64(a.peak))
 	}
 	a.inflight.Set(float64(a.cur))
-	a.mu.Unlock()
-	return weight, true
 }
 
-// release returns a grant obtained from admit.
-func (a *admission) release(weight int64) {
-	a.mu.Lock()
-	a.cur -= weight
-	a.inflight.Set(float64(a.cur))
-	a.mu.Unlock()
-	a.sem.release(a.class, weight)
+// notifyLocked grants queued waiters from the head while they fit; it
+// never grants past a head that does not.
+func (a *admission) notifyLocked() {
+	for front := a.waiters.Front(); front != nil; front = a.waiters.Front() {
+		w := front.Value.(*waiter)
+		if a.cur+w.n > a.limit {
+			return
+		}
+		a.grantLocked(w.n)
+		a.waiters.Remove(front)
+		close(w.ready)
+	}
 }

@@ -2,31 +2,38 @@ package server
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+
+	"github.com/chrec/rat/internal/telemetry"
 )
 
 // TestSemaphoreFIFO covers the admission semaphore directly: capacity
-// enforcement, FIFO wakeup within a class, and the cancellation race.
+// enforcement, FIFO wakeup, and the cancellation race.
 func TestSemaphoreFIFO(t *testing.T) {
-	sem := newPrioritySem(0, [numClasses]int64{clsPredict: 2, clsBatch: 2, clsExplore: 2})
-	if !sem.tryAcquire(clsPredict, 2) {
-		t.Fatal("tryAcquire(2) on an idle semaphore failed")
+	a := newAdmission(telemetry.NewRegistry(), "predict", 2, time.Hour)
+	ctx := context.Background()
+	if n, ok := a.admit(ctx, 2); !ok || n != 2 {
+		t.Fatalf("admit(2) on an idle semaphore = %d, %v", n, ok)
 	}
-	if sem.tryAcquire(clsPredict, 1) {
-		t.Fatal("tryAcquire over the class limit succeeded")
+	noWait := newAdmission(telemetry.NewRegistry(), "predict", 2, 0)
+	noWait.admit(ctx, 2)
+	if _, ok := noWait.admit(ctx, 1); ok {
+		t.Fatal("admit over the limit succeeded")
 	}
 
 	acquired := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			if err := sem.acquire(context.Background(), clsPredict, 1); err == nil {
+			if _, ok := a.admit(ctx, 1); ok {
 				acquired <- i
 			}
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond) // let both queue
-	sem.release(clsPredict, 2)
+	waitQueued(t, a, 2)
+	a.release(2)
 	for i := 0; i < 2; i++ {
 		select {
 		case <-acquired:
@@ -36,77 +43,259 @@ func TestSemaphoreFIFO(t *testing.T) {
 	}
 
 	// A cancelled waiter must not consume capacity.
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := sem.acquire(ctx, clsPredict, 2); err == nil {
-		t.Fatal("acquire with cancelled context succeeded while full")
+	if _, ok := a.admit(cancelled, 2); ok {
+		t.Fatal("admit with cancelled context succeeded while full")
 	}
-	sem.release(clsPredict, 2)
-	if !sem.tryAcquire(clsPredict, 2) {
+	a.release(2)
+	if n, ok := a.admit(ctx, 2); !ok || n != 2 {
 		t.Fatal("capacity lost after cancelled waiter")
 	}
-	sem.release(clsPredict, 2)
+
+	// A waiter granted while its context ends keeps the grant: the
+	// release below runs under the lock the cancelled waiter needs to
+	// withdraw, so it always sees itself granted.
+	waitCtx, cancel := context.WithCancel(ctx)
+	granted := make(chan bool, 1)
+	go func() {
+		_, ok := a.admit(waitCtx, 2)
+		granted <- ok
+	}()
+	waitQueued(t, a, 1)
+	a.mu.Lock()
+	cancel()
+	a.cur -= 2
+	a.notifyLocked()
+	a.mu.Unlock()
+	if !<-granted {
+		t.Fatal("a waiter granted as its context ended gave the grant up")
+	}
+	a.release(2)
+	if a.cur != 0 {
+		t.Fatalf("holdings after every release = %d, want 0", a.cur)
+	}
 }
 
-// TestSemaphorePriority pins the admission ordering the tenancy layer
-// rests on: with the shared pool exhausted, an interactive predict
-// waiter that queued AFTER a bulk explore waiter is granted FIRST when
-// capacity frees.
-func TestSemaphorePriority(t *testing.T) {
-	// Total capacity 1: one holder saturates the pool.
-	sem := newPrioritySem(1, [numClasses]int64{clsPredict: 1, clsBatch: 1, clsExplore: 1})
-	if !sem.tryAcquire(clsExplore, 1) {
-		t.Fatal("initial acquire failed")
+// waitQueued polls until a has n queued waiters.
+func waitQueued(t *testing.T, a *admission, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		a.mu.Lock()
+		got := a.waiters.Len()
+		a.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queued waiters = %d, want %d", got, n)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
+}
 
-	granted := make(chan admClass, 2)
-	release := make(chan admClass, 2)
-	start := func(c admClass) {
-		go func() {
-			if err := sem.acquire(context.Background(), c, 1); err == nil {
-				granted <- c
-				<-release
-				sem.release(c, 1)
-			}
-		}()
-	}
-	start(clsExplore) // bulk queues first...
-	time.Sleep(10 * time.Millisecond)
-	start(clsPredict) // ...interactive queues second
-	time.Sleep(10 * time.Millisecond)
-
-	sem.release(clsExplore, 1) // free the pool: predict must win
-	var order []admClass
-	for i := 0; i < 2; i++ {
-		select {
-		case c := <-granted:
-			order = append(order, c)
-			release <- c
-		case <-time.After(5 * time.Second):
-			t.Fatal("queued waiter never woke")
+// TestAdmissionEndpointsIndependent pins that one endpoint's queue
+// never holds back another's: with every endpoint full at the default
+// limits, a batch queued on its own limit must not stop a freed
+// explore slot from reaching the explore queued before it. Waiters
+// are given time to queue rather than polled for, so the test reads
+// only admit and release; a waiter that has not queued yet when the
+// slot frees is admitted directly, which can only make the test pass.
+func TestAdmissionEndpointsIndependent(t *testing.T) {
+	srv := New(Config{AdmissionWait: time.Second})
+	ctx := context.Background()
+	hold := func(a *admission, n int64) {
+		if got, ok := a.admit(ctx, n); !ok || got != n {
+			t.Fatalf("admit(%d) = %d, %v on a free endpoint", n, got, ok)
 		}
 	}
-	if order[0] != clsPredict || order[1] != clsExplore {
-		t.Errorf("grant order = %v, want [predict explore]: interactive must outrank bulk", order)
+	for i := 0; i < 64; i++ {
+		hold(srv.admPredict, 1)
+	}
+	hold(srv.admBatch, 10)
+	hold(srv.admExplore, 1)
+	hold(srv.admExplore, 1)
+
+	explore := make(chan bool, 1)
+	go func() {
+		_, ok := srv.admExplore.admit(ctx, 1)
+		explore <- ok
+	}()
+	time.Sleep(20 * time.Millisecond)
+	batch := make(chan bool, 1)
+	go func() {
+		_, ok := srv.admBatch.admit(ctx, 8) // 10 + 8 > 16: queues
+		batch <- ok
+	}()
+	time.Sleep(20 * time.Millisecond)
+
+	srv.admExplore.release(1)
+	select {
+	case ok := <-explore:
+		if !ok {
+			t.Fatal("queued explore rejected after an explore slot freed")
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("queued explore still waiting 500ms after an explore slot freed")
+	}
+
+	srv.admBatch.release(10)
+	if !<-batch {
+		t.Fatal("queued batch rejected after the batch endpoint freed")
+	}
+	srv.admBatch.release(8)
+	srv.admExplore.release(2)
+	for i := 0; i < 64; i++ {
+		srv.admPredict.release(1)
 	}
 }
 
-// TestSemaphoreBulkNotStarvedByClassLimit pins the liveness side of
-// priority: a predict waiter blocked purely on its own class limit
-// does not idle pool capacity that a bulk waiter could use.
-func TestSemaphoreBulkNotStarvedByClassLimit(t *testing.T) {
-	// Predict class limit 1, plenty of total capacity.
-	sem := newPrioritySem(4, [numClasses]int64{clsPredict: 1, clsBatch: 1, clsExplore: 1})
-	if !sem.tryAcquire(clsPredict, 1) {
-		t.Fatal("initial predict acquire failed")
+// admReq is one request in TestAdmissionModel: its clamped weight,
+// how to cancel it, and where its admit reports.
+type admReq struct {
+	n      int64
+	cancel context.CancelFunc
+	done   chan bool
+}
+
+// TestAdmissionModel checks admission against a model weighted FIFO
+// semaphore over random admit, release and cancel steps: random
+// limits and weights (clamped as admit clamps them), cancellation of
+// queued waiters, and, on every third seed, a wait bound short enough
+// that each waiter the model queues expires before the next step.
+// After every step the real semaphore must settle to the model's
+// holdings, queue, outcomes and counters.
+func TestAdmissionModel(t *testing.T) {
+	const seeds, steps = 300, 200
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		limit := 1 + rng.Int63n(4)
+		wait, expires := time.Hour, seed%3 == 0
+		if expires {
+			wait = 20 * time.Microsecond
+		}
+		reg := telemetry.NewRegistry()
+		a := newAdmission(reg, "predict", limit, wait)
+
+		// The model: holdings, the queue in arrival order, and what each
+		// settled request must have reported.
+		var cur, peak, admitted, rejected int64
+		var queue, held []*admReq
+		var pending []*admReq // granted or rejected, report not yet read
+		var pendingOK []bool
+		grant := func() {
+			for len(queue) > 0 && cur+queue[0].n <= limit {
+				r := queue[0]
+				queue = queue[1:]
+				cur += r.n
+				peak = max(peak, cur)
+				admitted++
+				held = append(held, r)
+				pending, pendingOK = append(pending, r), append(pendingOK, true)
+			}
+		}
+
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(3); {
+			case op == 0 || len(held) == 0 && len(queue) == 0:
+				weight := rng.Int63n(limit + 2) // 0 and limit+1 exercise the clamp
+				r := &admReq{n: min(max(weight, 1), limit), done: make(chan bool, 1)}
+				ctx, cancel := context.WithCancel(context.Background())
+				r.cancel = cancel
+				go func() {
+					_, ok := a.admit(ctx, weight)
+					r.done <- ok
+				}()
+				switch {
+				case len(queue) == 0 && cur+r.n <= limit:
+					queue = append(queue, r)
+					grant()
+				case expires:
+					rejected++
+					pending, pendingOK = append(pending, r), append(pendingOK, false)
+				default:
+					queue = append(queue, r)
+				}
+			case op == 1 && len(held) > 0:
+				i := rng.Intn(len(held))
+				r := held[i]
+				held = append(held[:i], held[i+1:]...)
+				cur -= r.n
+				a.release(r.n)
+				r.cancel()
+				grant()
+			case len(queue) > 0:
+				i := rng.Intn(len(queue))
+				r := queue[i]
+				queue = append(queue[:i], queue[i+1:]...)
+				r.cancel()
+				rejected++
+				pending, pendingOK = append(pending, r), append(pendingOK, false)
+				grant()
+			default:
+				continue
+			}
+
+			for i, r := range pending {
+				select {
+				case ok := <-r.done:
+					if ok != pendingOK[i] {
+						t.Fatalf("seed %d step %d: admit reported %v, model says %v", seed, step, ok, pendingOK[i])
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("seed %d step %d: a settled request never reported (model says %v)", seed, step, pendingOK[i])
+				}
+			}
+			pending, pendingOK = pending[:0], pendingOK[:0]
+			settle(t, a, seed, step, cur, queue)
+			snap := reg.Snapshot()
+			if snap.Counters["server.admitted.predict"] != admitted || snap.Counters["server.rejected.predict"] != rejected {
+				t.Fatalf("seed %d step %d: admitted/rejected = %d/%d, model %d/%d", seed, step,
+					snap.Counters["server.admitted.predict"], snap.Counters["server.rejected.predict"], admitted, rejected)
+			}
+			if snap.Gauges["server.inflight.predict"] != float64(cur) || snap.Gauges["server.inflight_peak.predict"] != float64(peak) {
+				t.Fatalf("seed %d step %d: inflight/peak gauges = %v/%v, model %d/%d", seed, step,
+					snap.Gauges["server.inflight.predict"], snap.Gauges["server.inflight_peak.predict"], cur, peak)
+			}
+		}
+		for _, r := range queue {
+			r.cancel()
+			<-r.done
+		}
+		for _, r := range held {
+			r.cancel()
+		}
 	}
-	// A second predict queues on its class limit (total has room).
-	go sem.acquire(context.Background(), clsPredict, 1)
-	time.Sleep(10 * time.Millisecond)
-	// Bulk must still be admitted: the pool is not exhausted.
-	if !sem.tryAcquire(clsExplore, 1) {
-		t.Fatal("explore refused while predict was blocked only on its class limit")
+}
+
+// settle polls a, under its lock, until its holdings and queued
+// weights match the model's.
+func settle(t *testing.T, a *admission, seed int64, step int, cur int64, queue []*admReq) {
+	t.Helper()
+	matches := func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.cur != cur || a.waiters.Len() != len(queue) {
+			return false
+		}
+		i := 0
+		for e := a.waiters.Front(); e != nil; e = e.Next() {
+			if e.Value.(*waiter).n != queue[i].n {
+				return false
+			}
+			i++
+		}
+		return true
 	}
-	sem.release(clsExplore, 1)
-	sem.release(clsPredict, 1) // unblocks the queued predict
+	deadline := time.Now().Add(5 * time.Second)
+	for !matches() {
+		if time.Now().After(deadline) {
+			a.mu.Lock()
+			got, queued := a.cur, a.waiters.Len()
+			a.mu.Unlock()
+			t.Fatalf("seed %d step %d: holdings/queue = %d/%d, model %d/%d", seed, step, got, queued, cur, len(queue))
+		}
+		runtime.Gosched()
+	}
 }

@@ -113,7 +113,7 @@ func BenchmarkServerPredictUncached(b *testing.B) {
 
 // BenchmarkServerPredictCachedHit measures the steady-state
 // in-process request path of POST /v1/predict under the default
-// configuration — middleware, admission, raw-alias cache hit, write —
+// configuration — middleware, admission, request-key cache hit, write —
 // the per-request overhead ratd adds in production once traffic
 // repeats. The response bytes come straight out of the LRU and the
 // whole request performs zero allocations. Gated in BENCH_5.json on

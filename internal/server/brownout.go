@@ -17,6 +17,16 @@ import (
 //	level 3: ceiling /64, response-cache fill disabled
 const maxBrownoutLevel = 3
 
+// The controller's tuning: each brownoutWindow ends with at most one
+// level transition; a window whose overload-shed fraction reaches
+// brownoutShedFraction steps the level up, and a window ending at
+// least brownoutQuiet after the last shed steps it down.
+const (
+	brownoutWindow       = time.Second
+	brownoutShedFraction = 0.05
+	brownoutQuiet        = 5 * time.Second
+)
+
 // brownoutCeilingShift maps a level to the right-shift applied to the
 // server's explore candidate ceiling (1, /4, /16, /64).
 var brownoutCeilingShift = [maxBrownoutLevel + 1]uint{0, 2, 4, 6}
@@ -33,9 +43,7 @@ var brownoutCeilingShift = [maxBrownoutLevel + 1]uint{0, 2, 4, 6}
 // The current level is visible as the rat_brownout_level gauge, in
 // /v1/status, and in the raised/lowered transition counters.
 type brownout struct {
-	window    time.Duration
-	enterFrac float64
-	quiet     time.Duration
+	window time.Duration // brownoutWindow; tests widen it to hold a forced level
 
 	level atomic.Int32
 
@@ -50,25 +58,13 @@ type brownout struct {
 	lowered *telemetry.Counter
 }
 
-// newBrownout builds the controller. window <= 0, enterFrac <= 0 and
-// quiet <= 0 take the defaults (1s, 0.05, 5s).
-func newBrownout(reg *telemetry.Registry, window time.Duration, enterFrac float64, quiet time.Duration) *brownout {
-	if window <= 0 {
-		window = time.Second
-	}
-	if enterFrac <= 0 {
-		enterFrac = 0.05
-	}
-	if quiet <= 0 {
-		quiet = 5 * time.Second
-	}
+// newBrownout builds the controller at level 0.
+func newBrownout(reg *telemetry.Registry) *brownout {
 	return &brownout{
-		window:    window,
-		enterFrac: enterFrac,
-		quiet:     quiet,
-		levelG:    reg.Gauge("rat_brownout_level"),
-		raised:    reg.Counter("rat_brownout_raised_total"),
-		lowered:   reg.Counter("rat_brownout_lowered_total"),
+		window:  brownoutWindow,
+		levelG:  reg.Gauge("rat_brownout_level"),
+		raised:  reg.Counter("rat_brownout_raised_total"),
+		lowered: reg.Counter("rat_brownout_lowered_total"),
 	}
 }
 
@@ -110,10 +106,10 @@ func (b *brownout) observe(now time.Time, shed bool) {
 	level := b.level.Load()
 	next := level
 	switch {
-	case b.shed > 0 && frac >= b.enterFrac && level < maxBrownoutLevel:
+	case b.shed > 0 && frac >= brownoutShedFraction && level < maxBrownoutLevel:
 		next = level + 1
 	case b.shed == 0 && level > 0 &&
-		(b.lastShed.IsZero() || now.Sub(b.lastShed) >= b.quiet):
+		(b.lastShed.IsZero() || now.Sub(b.lastShed) >= brownoutQuiet):
 		next = level - 1
 	}
 	b.served, b.shed = 0, 0

@@ -3,90 +3,47 @@ package server
 import (
 	"container/list"
 	"encoding/binary"
-	"math"
 	"sync"
 
-	"github.com/chrec/rat/internal/core"
 	"github.com/chrec/rat/internal/telemetry"
 )
 
-// appendCacheKey appends the canonical byte form of a predict request
-// to dst: every worksheet field in a fixed order at full float64
-// precision, the multi-FPGA configuration, and the response wire
-// format. Two requests collide iff they would produce identical
-// response bytes, because the key preserves the exact bits the
-// computation consumes (NaN never reaches the cache — it fails
-// validation first) and keeps the two response encodings apart.
+// appendRequestKey appends the response-cache key of one predict
+// request to dst: both wire-format discriminators (request body
+// encoding and negotiated response encoding), the length and bytes of
+// the unparsed query string, and the verbatim body. Two byte-identical
+// requests under the same negotiation always produce byte-identical
+// responses, which is what makes the key sound; the length prefix
+// keeps query bytes from being read as body bytes.
 //
 //rat:hotpath
-func appendCacheKey(dst []byte, p *core.Parameters, cfg core.MultiConfig, format byte) []byte {
-	dst = append(dst, p.Name...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(p.Name))) // disambiguates name bytes from numbers
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Dataset.ElementsIn))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Dataset.ElementsOut))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Dataset.BytesPerElement))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Comm.IdealThroughput))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Comm.AlphaWrite))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Comm.AlphaRead))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Comp.OpsPerElement))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Comp.ThroughputProc))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Comp.ClockHz))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Soft.TSoft))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Soft.Iterations))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(cfg.Devices)<<1|uint64(cfg.Topology))
-	return append(dst, format)
-}
-
-// Response wire formats, the cache key's final discriminator byte.
-const (
-	formatJSON   = byte(0)
-	formatBinary = byte(1)
-)
-
-// appendRawKey builds the raw-request alias key: both wire-format
-// discriminators (request body encoding and negotiated response
-// encoding), the unparsed query string, and the verbatim body bytes.
-// Two byte-identical requests under the same negotiation always
-// produce byte-identical responses, which is what makes the raw
-// index sound.
-//
-//rat:hotpath
-func appendRawKey(dst, body []byte, rawQuery string, binReq bool, format byte) []byte {
-	req := byte(0)
+func appendRequestKey(dst, body []byte, rawQuery string, binReq, binResp bool) []byte {
+	var formats [2]byte
 	if binReq {
-		req = 1
+		formats[0] = 1
 	}
-	dst = append(dst, req, format)
+	if binResp {
+		formats[1] = 1
+	}
+	dst = append(dst, formats[:]...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rawQuery)))
 	dst = append(dst, rawQuery...)
 	return append(dst, body...)
 }
 
-// cacheKey is the string form of appendCacheKey for the JSON format —
-// retained for tests that reason about key collisions.
-func cacheKey(p core.Parameters, cfg core.MultiConfig) string {
-	return string(appendCacheKey(make([]byte, 0, len(p.Name)+8*13+1), &p, cfg, formatJSON))
-}
-
-// responseCache is a mutex-guarded LRU of marshalled response bodies.
-// Caching the exact bytes (not the Prediction) guarantees a hit
-// replays a byte-identical response, which is what the bit-for-bit
-// acceptance tests compare. Keys are passed as byte slices so the
+// responseCache is a mutex-guarded LRU of marshalled response bodies,
+// keyed by appendRequestKey. Caching the exact bytes (not the
+// Prediction) guarantees a hit replays a byte-identical response,
+// which is what the bit-for-bit acceptance tests compare, and a client
+// replaying identical request bytes is answered without decoding the
+// worksheet at all. Keys are passed as byte slices so the
 // steady-state lookup compiles to an allocation-free map access; the
 // cache copies the key only when it stores a new entry.
-//
-// Each entry is indexed twice: under the canonical decoded-parameters
-// key (so equivalent worksheets serialized differently share one
-// entry) and under at most one raw-request alias — the verbatim
-// request bytes that last produced or hit the entry. The alias is what
-// makes the steady-state hit fast: a client replaying identical bytes
-// is answered without decoding the worksheet at all.
 type responseCache struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recent; values are *cacheEntry
 	items map[string]*list.Element
-	raw   map[string]*list.Element // raw-request alias → same element
 
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
@@ -95,9 +52,8 @@ type responseCache struct {
 }
 
 type cacheEntry struct {
-	key    string
-	rawKey string // at most one alias; "" when none
-	body   []byte
+	key  string
+	body []byte
 }
 
 // newResponseCache returns a cache holding up to max entries, or nil
@@ -110,7 +66,6 @@ func newResponseCache(reg *telemetry.Registry, max int) *responseCache {
 		max:    max,
 		ll:     list.New(),
 		items:  make(map[string]*list.Element, max),
-		raw:    make(map[string]*list.Element, max),
 		hits:   reg.Counter("server.cache_hits"),
 		misses: reg.Counter("server.cache_misses"),
 		evicts: reg.Counter("server.cache_evictions"),
@@ -118,33 +73,12 @@ func newResponseCache(reg *telemetry.Registry, max int) *responseCache {
 	}
 }
 
-// getRaw probes the raw-request alias index. A raw miss is not a cache
-// miss — the canonical lookup still follows — so only hits are
-// counted here. The map index through string(key) does not allocate.
+// get returns the cached body for key, bumping its recency, and counts
+// the hit or miss. The map index through string(key) does not
+// allocate.
 //
 //rat:hotpath
-func (c *responseCache) getRaw(rawKey []byte) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	elem, ok := c.raw[string(rawKey)]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(elem)
-	c.hits.Inc()
-	return elem.Value.(*cacheEntry).body, true
-}
-
-// get returns the cached body for the canonical key, bumping its
-// recency. On a hit the entry's raw alias is repointed at rawKey, so
-// the next replay of these exact request bytes short-circuits in
-// getRaw without decoding.
-//
-//rat:hotpath
-func (c *responseCache) get(key, rawKey []byte) ([]byte, bool) {
+func (c *responseCache) get(key []byte) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -156,37 +90,15 @@ func (c *responseCache) get(key, rawKey []byte) ([]byte, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(elem)
-	c.aliasLocked(elem, rawKey)
 	c.hits.Inc()
 	return elem.Value.(*cacheEntry).body, true
 }
 
-// aliasLocked points the raw-request alias rawKey at elem, displacing
-// the element's previous alias. One alias per entry bounds the raw
-// index at the entry count.
-func (c *responseCache) aliasLocked(elem *list.Element, rawKey []byte) {
-	if len(rawKey) == 0 {
-		return
-	}
-	e := elem.Value.(*cacheEntry)
-	if e.rawKey == string(rawKey) { // no-alloc comparison
-		return
-	}
-	if prev, ok := c.raw[string(rawKey)]; ok && prev != elem {
-		prev.Value.(*cacheEntry).rawKey = ""
-	}
-	if e.rawKey != "" {
-		delete(c.raw, e.rawKey)
-	}
-	e.rawKey = string(rawKey)
-	c.raw[e.rawKey] = elem
-}
-
-// put stores a copy of body under copies of the canonical key and the
-// raw-request alias, evicting the least recently used entry when full.
-// Copying here (off the measured hit path) is what lets callers hand
-// in pooled buffers.
-func (c *responseCache) put(key, rawKey, body []byte) {
+// put stores a copy of body under a copy of key, evicting the least
+// recently used entry when full. Copying here (off the measured hit
+// path) is what lets callers hand in pooled buffers. A key already
+// present keeps its body: equal keys render equal bytes.
+func (c *responseCache) put(key, body []byte) {
 	if c == nil {
 		return
 	}
@@ -194,22 +106,14 @@ func (c *responseCache) put(key, rawKey, body []byte) {
 	defer c.mu.Unlock()
 	if elem, ok := c.items[string(key)]; ok {
 		c.ll.MoveToFront(elem)
-		elem.Value.(*cacheEntry).body = append([]byte(nil), body...)
-		c.aliasLocked(elem, rawKey)
 		return
 	}
 	k := string(key)
-	elem := c.ll.PushFront(&cacheEntry{key: k, body: append([]byte(nil), body...)})
-	c.items[k] = elem
-	c.aliasLocked(elem, rawKey)
+	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, body: append([]byte(nil), body...)})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		e := oldest.Value.(*cacheEntry)
-		delete(c.items, e.key)
-		if e.rawKey != "" {
-			delete(c.raw, e.rawKey)
-		}
+		delete(c.items, oldest.Value.(*cacheEntry).key)
 		c.evicts.Inc()
 	}
 	c.sizeG.Set(float64(c.ll.Len()))

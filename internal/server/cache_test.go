@@ -3,8 +3,6 @@ package server
 import (
 	"testing"
 
-	"github.com/chrec/rat/internal/core"
-	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/telemetry"
 )
 
@@ -12,16 +10,16 @@ import (
 func TestCacheLRU(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newResponseCache(reg, 2)
-	c.put([]byte("a"), nil, []byte("A"))
-	c.put([]byte("b"), nil, []byte("B"))
-	if _, hit := c.get([]byte("a"), nil); !hit { // bumps a over b
+	c.put([]byte("a"), []byte("A"))
+	c.put([]byte("b"), []byte("B"))
+	if _, hit := c.get([]byte("a")); !hit { // bumps a over b
 		t.Fatal("a missing")
 	}
-	c.put([]byte("c"), nil, []byte("C")) // evicts b, the LRU
-	if _, hit := c.get([]byte("b"), nil); hit {
+	c.put([]byte("c"), []byte("C")) // evicts b, the LRU
+	if _, hit := c.get([]byte("b")); hit {
 		t.Error("b survived eviction; LRU order is wrong")
 	}
-	if body, hit := c.get([]byte("a"), nil); !hit || string(body) != "A" {
+	if body, hit := c.get([]byte("a")); !hit || string(body) != "A" {
 		t.Error("a evicted out of order")
 	}
 	snap := reg.Snapshot()
@@ -30,39 +28,39 @@ func TestCacheLRU(t *testing.T) {
 	}
 
 	var disabled *responseCache // nil: caching off
-	disabled.put([]byte("k"), nil, []byte("v"))
-	if _, hit := disabled.get([]byte("k"), nil); hit {
+	disabled.put([]byte("k"), []byte("v"))
+	if _, hit := disabled.get([]byte("k")); hit {
 		t.Error("nil cache returned a hit")
 	}
 }
 
-// TestCacheKeyDistinguishesRequests: any parameter or topology change
-// must change the key; equal requests must collide.
+// TestCacheKeyDistinguishesRequests: the request format, the response
+// format, the query and every body byte must each change the key;
+// identical requests must collide.
 func TestCacheKeyDistinguishesRequests(t *testing.T) {
-	base := paper.PDF1DParams()
-	cfg := core.MultiConfig{Devices: 1, Topology: core.SharedChannel}
-	if cacheKey(base, cfg) != cacheKey(paper.PDF1DParams(), cfg) {
+	type request struct {
+		body            string
+		query           string
+		binReq, binResp bool
+	}
+	key := func(r request) string {
+		return string(appendRequestKey(nil, []byte(r.body), r.query, r.binReq, r.binResp))
+	}
+	base := request{body: `{"name":"pdf1d"}`, query: "devices=2"}
+	if key(base) != key(request{body: `{"name":"pdf1d"}`, query: "devices=2"}) {
 		t.Error("identical requests produced different keys")
 	}
-	mutations := []func(*core.Parameters){
-		func(p *core.Parameters) { p.Name = p.Name + "x" },
-		func(p *core.Parameters) { p.Dataset.ElementsIn++ },
-		func(p *core.Parameters) { p.Comm.AlphaWrite += 1e-9 },
-		func(p *core.Parameters) { p.Comp.ClockHz *= 1.0000001 },
-		func(p *core.Parameters) { p.Soft.Iterations++ },
+	mutations := map[string]request{
+		"request format":      {body: base.body, query: base.query, binReq: true},
+		"response format":     {body: base.body, query: base.query, binResp: true},
+		"query":               {body: base.body, query: "devices=3"},
+		"no query":            {body: base.body},
+		"one body byte":       {body: `{"name":"pdf1e"}`, query: base.query},
+		"query/body boundary": {body: "2" + base.body, query: "devices="},
 	}
-	for i, mutate := range mutations {
-		p := paper.PDF1DParams()
-		mutate(&p)
-		if cacheKey(p, cfg) == cacheKey(base, cfg) {
-			t.Errorf("mutation %d did not change the cache key", i)
+	for name, r := range mutations {
+		if key(r) == key(base) {
+			t.Errorf("changing the %s did not change the cache key", name)
 		}
-	}
-	if cacheKey(base, cfg) == cacheKey(base, core.MultiConfig{Devices: 2, Topology: core.SharedChannel}) {
-		t.Error("device count not part of the cache key")
-	}
-	if cacheKey(base, core.MultiConfig{Devices: 2, Topology: core.SharedChannel}) ==
-		cacheKey(base, core.MultiConfig{Devices: 2, Topology: core.IndependentChannels}) {
-		t.Error("topology not part of the cache key")
 	}
 }

@@ -69,8 +69,8 @@ const shardSlack = 100 * time.Millisecond
 // boundary.
 func TestAbandonedExploresStopEngines(t *testing.T) {
 	awaitNoExploreWorkers(t, 30*time.Second) // engines left by earlier tests
-	reg := telemetry.NewRegistry()
-	srv := New(Config{Metrics: reg, ExploreWorkers: 1})
+	srv := New(Config{ExploreWorkers: 1})
+	reg := srv.Metrics()
 	limit := srv.cfg.ExploreLimit
 	url, _ := startServer(t, srv)
 	defer srv.Shutdown(context.Background())
@@ -113,11 +113,12 @@ func TestAbandonedExploresStopEngines(t *testing.T) {
 // flight stop within one engine shard.
 func TestCancelledDistributedExploreStops(t *testing.T) {
 	awaitNoExploreWorkers(t, 30*time.Second)
-	workerReg, coordReg := telemetry.NewRegistry(), telemetry.NewRegistry()
-	worker := New(Config{Metrics: workerReg, ExploreWorkers: 1})
+	worker := New(Config{ExploreWorkers: 1})
+	workerReg := worker.Metrics()
 	workerURL, _ := startServer(t, worker)
 	defer worker.Shutdown(context.Background())
-	coord := New(Config{Metrics: coordReg})
+	coord := New(Config{})
+	coordReg := coord.Metrics()
 	coordURL, _ := startServer(t, coord)
 	defer coord.Shutdown(context.Background())
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,8 +46,14 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	body, err := sc.readBody(r.Body)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req api.DistributedExploreRequest
 	if err := dec.Decode(&req); err != nil {

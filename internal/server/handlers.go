@@ -46,6 +46,10 @@ func httpStatus(err error) int {
 // without bound.
 const maxInternedNames = 1024
 
+// maxBodyBytes caps request bodies on every POST endpoint; a larger
+// body is the caller's fault (400).
+const maxBodyBytes = 1 << 20
+
 // scratch is the pooled per-request working set of the predict paths:
 // the body read buffer, the cache-key buffer, the response build
 // buffer and the worksheet-name intern table. One Get covers a whole
@@ -53,7 +57,6 @@ const maxInternedNames = 1024
 type scratch struct {
 	body []byte
 	key  []byte
-	raw  []byte
 	out  []byte
 
 	names map[string]string
@@ -66,8 +69,7 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any {
 	sc := &scratch{
 		body: make([]byte, 0, 4096),
-		key:  make([]byte, 0, 160),
-		raw:  make([]byte, 0, 1024),
+		key:  make([]byte, 0, 1024),
 		out:  make([]byte, 0, 2048),
 	}
 	sc.internFn = sc.intern
@@ -94,25 +96,24 @@ func (sc *scratch) intern(b []byte) string {
 }
 
 // readBody slurps the request body into the pooled buffer, enforcing
-// the configured size cap. Oversized and unreadable bodies are the
-// caller's fault (ErrSyntax maps to 400), matching what
-// http.MaxBytesReader fed to a JSON decoder produced before.
+// maxBodyBytes. Oversized and unreadable bodies are the caller's fault
+// (ErrSyntax maps to 400).
 //
 //rat:hotpath
-func (sc *scratch) readBody(body io.Reader, limit int64) ([]byte, error) {
+func (sc *scratch) readBody(body io.Reader) ([]byte, error) {
 	buf := sc.body[:0]
 	for {
-		if int64(len(buf)) > limit {
+		if len(buf) > maxBodyBytes {
 			sc.body = buf
-			return nil, fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, limit)
+			return nil, fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, maxBodyBytes)
 		}
 		if len(buf) == cap(buf) {
 			next := 2 * cap(buf)
 			if next == 0 {
 				next = 4096
 			}
-			if int64(next) > limit+1 {
-				next = int(limit + 1)
+			if next > maxBodyBytes+1 {
+				next = maxBodyBytes + 1
 			}
 			if next <= cap(buf) {
 				next = cap(buf) + 1
@@ -126,8 +127,8 @@ func (sc *scratch) readBody(body io.Reader, limit int64) ([]byte, error) {
 		if err != nil {
 			sc.body = buf
 			if errors.Is(err, io.EOF) {
-				if int64(len(buf)) > limit {
-					return nil, fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, limit)
+				if len(buf) > maxBodyBytes {
+					return nil, fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, maxBodyBytes)
 				}
 				return buf, nil
 			}
@@ -206,26 +207,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body, s.cfg.MaxBodyBytes)
+	body, err := sc.readBody(r.Body)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
 	binReq := r.Header.Get("Content-Type") == wire.ContentTypeBinary
 	binResp := r.Header.Get("Accept") == wire.ContentTypeBinary
-	format := formatJSON
-	if binResp {
-		format = formatBinary
-	}
 
-	// Steady-state fast path: a client replaying byte-identical request
-	// bytes is answered from the raw-alias index without decoding the
-	// worksheet at all.
+	// The cache is keyed by the request bytes, so a hit is answered
+	// without decoding the worksheet at all.
 	if s.cache != nil {
 		clk.start()
-		sc.raw = appendRawKey(sc.raw[:0], body, r.URL.RawQuery, binReq, format)
-		if cached, hit := s.cache.getRaw(sc.raw); hit {
-			clk.stop(obs.StageCache)
+		sc.key = appendRequestKey(sc.key[:0], body, r.URL.RawQuery, binReq, binResp)
+		cached, hit := s.cache.get(sc.key)
+		clk.stop(obs.StageCache)
+		if hit {
 			clk.setHeader(w, r)
 			writeBody(w, cached, binResp)
 			return
@@ -248,18 +245,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		cfg, err = multiConfigFromQuery(q.Get("devices"), q.Get("topology"))
 		if err != nil {
 			writeError(w, httpStatus(err), err)
-			return
-		}
-	}
-
-	if s.cache != nil {
-		clk.start()
-		sc.key = appendCacheKey(sc.key[:0], &p, cfg, format)
-		cached, hit := s.cache.get(sc.key, sc.raw)
-		clk.stop(obs.StageCache)
-		if hit {
-			clk.setHeader(w, r)
-			writeBody(w, cached, binResp)
 			return
 		}
 	}
@@ -314,7 +299,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cache != nil && s.cacheFillAllowed() {
-		s.cache.put(sc.key, sc.raw, sc.out)
+		s.cache.put(sc.key, sc.out)
 	}
 	clk.setHeader(w, r)
 	writeBody(w, sc.out, binResp)
@@ -343,7 +328,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	clk := s.stageClock(w)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body, s.cfg.MaxBodyBytes)
+	body, err := sc.readBody(r.Body)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
@@ -515,7 +500,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body, s.cfg.MaxBodyBytes)
+	body, err := sc.readBody(r.Body)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return

@@ -4,12 +4,11 @@
 // existing worksheet JSON format. The serving core is production
 // shaped: one direct call into the closed-form kernel per request
 // (core.PredictBatch per explicit batch), an LRU response cache keyed
-// by the canonical worksheet bytes, weighted-semaphore admission
-// control with per-endpoint concurrency limits (saturation answers
-// 429 + Retry-After), context-propagated deadlines, panic recovery,
-// structured JSONL request logging through log/slog, and graceful
-// drain. See docs/SERVER.md for the wire contract and the operational
-// runbook.
+// by the verbatim request, one weighted FIFO semaphore per endpoint
+// for admission control (saturation answers 429 + Retry-After),
+// context-propagated deadlines, panic recovery, structured JSONL
+// request logging through log/slog, and graceful drain. See
+// docs/SERVER.md for the wire contract and the operational runbook.
 package server
 
 import (
@@ -39,15 +38,11 @@ type Config struct {
 
 	// PredictLimit, BatchLimit and ExploreLimit bound concurrently
 	// admitted requests per endpoint (batch requests weigh their
-	// worksheet count). Defaults 64, 16, 2.
+	// worksheet count). Each endpoint queues on its own limit only.
+	// Defaults 64, 16, 2.
 	PredictLimit int
 	BatchLimit   int
 	ExploreLimit int
-	// TotalLimit bounds concurrently admitted weight across all three
-	// endpoints — the shared pool the priority semaphore grants from
-	// (interactive predict outranks bulk batch/explore). Default: the
-	// sum of the per-endpoint limits.
-	TotalLimit int
 	// AdmissionWait bounds how long a request may queue for admission
 	// before being answered 429. Default 10ms.
 	AdmissionWait time.Duration
@@ -72,8 +67,6 @@ type Config struct {
 	// ExploreWorkers is the worker-pool size per exploration; 0 uses
 	// one worker per CPU.
 	ExploreWorkers int
-	// MaxBodyBytes caps request bodies. Default 1 MiB.
-	MaxBodyBytes int64
 
 	// Tenants, when non-nil, turns on multi-tenant admission: every
 	// API request must carry a configured key (Authorization: Bearer
@@ -87,21 +80,6 @@ type Config struct {
 	// 16.
 	ExploreTokenCost float64
 
-	// BrownoutWindow is the observation window of the brownout
-	// controller; each window ends with at most one level transition.
-	// Default 1s.
-	BrownoutWindow time.Duration
-	// BrownoutShedFraction is the overload-shed fraction within one
-	// window at which the brownout level steps up. Default 0.05.
-	BrownoutShedFraction float64
-	// BrownoutQuiet is how long the server must go without an
-	// overload shed before the brownout level steps back down.
-	// Default 5s.
-	BrownoutQuiet time.Duration
-
-	// Metrics receives the serving metrics; nil allocates a private
-	// registry (exposed at /metrics either way).
-	Metrics *telemetry.Registry
 	// AccessLogger, when non-nil, receives one structured record per
 	// request with method, path, status, bytes, duration, trace_id,
 	// span_id and the per-stage latency breakdown. This is the access
@@ -138,14 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxDistributedCandidates == 0 {
 		c.MaxDistributedCandidates = 1 << 30
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.ExploreTokenCost <= 0 {
 		c.ExploreTokenCost = 16
-	}
-	if c.Metrics == nil {
-		c.Metrics = telemetry.NewRegistry()
 	}
 	return c
 }
@@ -179,19 +151,14 @@ type Server struct {
 // New builds a Server from the configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
-	pool := newPrioritySem(int64(cfg.TotalLimit), [numClasses]int64{
-		clsPredict: int64(cfg.PredictLimit),
-		clsBatch:   int64(cfg.BatchLimit),
-		clsExplore: int64(cfg.ExploreLimit),
-	})
+	reg := telemetry.NewRegistry()
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
 		cache:      newResponseCache(reg, cfg.CacheSize),
-		admPredict: newAdmission(reg, pool, clsPredict, "predict", cfg.AdmissionWait),
-		admBatch:   newAdmission(reg, pool, clsBatch, "batch", cfg.AdmissionWait),
-		admExplore: newAdmission(reg, pool, clsExplore, "explore", cfg.AdmissionWait),
+		admPredict: newAdmission(reg, "predict", int64(cfg.PredictLimit), cfg.AdmissionWait),
+		admBatch:   newAdmission(reg, "batch", int64(cfg.BatchLimit), cfg.AdmissionWait),
+		admExplore: newAdmission(reg, "explore", int64(cfg.ExploreLimit), cfg.AdmissionWait),
 		panics:     reg.Counter("server.panics"),
 		requests:   reg.Counter("server.requests"),
 		red:        newRedMetrics(reg),
@@ -203,7 +170,7 @@ func New(cfg Config) *Server {
 	// The brownout controller degrades bulk features under sustained
 	// overload; the explore ceiling and cache-fill effects are read per
 	// request from its level.
-	s.brownout = newBrownout(reg, cfg.BrownoutWindow, cfg.BrownoutShedFraction, cfg.BrownoutQuiet)
+	s.brownout = newBrownout(reg)
 	mux := http.NewServeMux()
 	// handlePredict is registered bare: its kernel runs in microseconds
 	// and the one wait a deadline could cut short, admission, is

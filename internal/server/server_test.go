@@ -16,7 +16,6 @@ import (
 	"github.com/chrec/rat/internal/core"
 	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/paper"
-	"github.com/chrec/rat/internal/telemetry"
 	"github.com/chrec/rat/internal/wire"
 	"github.com/chrec/rat/internal/worksheet"
 )
@@ -111,15 +110,16 @@ func TestPredictMultiRoundTripBitForBit(t *testing.T) {
 
 // TestCachingByteIdentical proves the response cache is invisible:
 // responses from a caching server are byte-identical to a server with
-// the cache disabled — on the misses that fill it, on raw-alias hits
-// (the same request bytes replayed) and on canonical-key hits (the
-// same worksheet in different bytes). Requests go out concurrently so
-// -race also covers the cache's locking.
+// the cache disabled — on the misses that fill it, on hits (the same
+// request bytes replayed) and on the misses of the same worksheet in
+// different bytes. Requests go out concurrently so -race also covers
+// the cache's locking.
 func TestCachingByteIdentical(t *testing.T) {
 	plain := httptest.NewServer(New(Config{CacheSize: -1}).Handler())
 	defer plain.Close()
-	reg := telemetry.NewRegistry()
-	cached := httptest.NewServer(New(Config{CacheSize: 64, Metrics: reg}).Handler())
+	cachedSrv := New(Config{CacheSize: 64})
+	reg := cachedSrv.Metrics()
+	cached := httptest.NewServer(cachedSrv.Handler())
 	defer cached.Close()
 
 	worksheets := make([][]byte, 16)
@@ -135,8 +135,8 @@ func TestCachingByteIdentical(t *testing.T) {
 		plainBodies[i] = body
 	}
 
-	// Pass 0 misses and fills, pass 1 replays the same bytes (raw-alias
-	// hits), pass 2 sends each worksheet compacted (canonical-key hits).
+	// Pass 0 misses and fills, pass 1 replays the same bytes (hits),
+	// pass 2 sends each worksheet compacted (new bytes: misses).
 	for pass := 0; pass < 3; pass++ {
 		var wg sync.WaitGroup
 		bodies := make([][]byte, len(worksheets))
@@ -178,8 +178,8 @@ func TestCachingByteIdentical(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if hits, misses := snap.Counters["server.cache_hits"], snap.Counters["server.cache_misses"]; hits != 32 || misses != 16 {
-		t.Errorf("cache hits/misses = %d/%d, want 32/16", hits, misses)
+	if hits, misses := snap.Counters["server.cache_hits"], snap.Counters["server.cache_misses"]; hits != 16 || misses != 32 {
+		t.Errorf("cache hits/misses = %d/%d, want 16/32", hits, misses)
 	}
 }
 
@@ -394,6 +394,59 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// TestBodySizeCap pins the one body-size rule of every POST endpoint:
+// a request padded with trailing whitespace to exactly maxBodyBytes is
+// served, and one byte more is a 400 naming the cap, in either wire
+// format.
+func TestBodySizeCap(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dist := distExploreRequest([]string{ts.URL})
+	cases := []struct {
+		path, contentType string
+		body              []byte // nil: no request of this kind fits under the cap
+	}{
+		{"/v1/predict", "application/json", encodeWorksheet(t, paper.PDF1DParams())},
+		{"/v1/predict", wire.ContentTypeBinary, nil},
+		{"/v1/predict/batch", "application/json", marshal([]worksheet.Doc{worksheet.DocFromParams(paper.PDF1DParams())})},
+		{"/v1/explore", "application/json", marshal(dist.Explore)},
+		{"/v1/explore/distributed", "application/json", marshal(dist)},
+	}
+	post := func(path, contentType string, body []byte) (int, string) {
+		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	pad := func(body []byte, n int) []byte {
+		return append(append([]byte(nil), body...), bytes.Repeat([]byte(" "), n-len(body))...)
+	}
+	for _, c := range cases {
+		if c.body != nil {
+			if status, msg := post(c.path, c.contentType, pad(c.body, maxBodyBytes)); status != http.StatusOK {
+				t.Errorf("%s %s at the cap: status %d (%s), want 200", c.path, c.contentType, status, msg)
+			}
+		}
+		over := pad(c.body, maxBodyBytes+1)
+		status, msg := post(c.path, c.contentType, over)
+		if status != http.StatusBadRequest || !strings.Contains(msg, "larger than 1048576 bytes") {
+			t.Errorf("%s %s one byte over the cap: status %d (%s), want 400 naming the cap",
+				c.path, c.contentType, status, msg)
+		}
+	}
+}
+
 // TestNonFiniteWorksheetRejected: a worksheet whose every field passes
 // validation but whose derived quantities overflow (t_write +Inf,
 // util_comm NaN) is a 400 naming the first such quantity on every
@@ -509,13 +562,12 @@ func TestExploreOverflowRejected(t *testing.T) {
 // overflow with 429 + Retry-After.
 func TestAdmissionControlBurst(t *testing.T) {
 	const limit = 4
-	reg := telemetry.NewRegistry()
 	srv := New(Config{
 		CacheSize:     -1,
 		PredictLimit:  limit,
 		AdmissionWait: 10 * time.Millisecond,
-		Metrics:       reg,
 	})
+	reg := srv.Metrics()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -628,8 +680,8 @@ func TestHealthReadyMetrics(t *testing.T) {
 // TestPanicRecovery proves a handler panic yields a well-formed 500,
 // not a dropped connection, and bumps the panic counter.
 func TestPanicRecovery(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	srv := New(Config{Metrics: reg})
+	srv := New(Config{})
+	reg := srv.Metrics()
 	// Reach the middleware through a handler that always panics.
 	h := srv.middleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")

@@ -13,7 +13,6 @@ import (
 
 	"github.com/chrec/rat/internal/api"
 	"github.com/chrec/rat/internal/paper"
-	"github.com/chrec/rat/internal/telemetry"
 	"github.com/chrec/rat/internal/worksheet"
 )
 
@@ -60,8 +59,8 @@ func slowExploreBody(t *testing.T) []byte {
 // answered 200, Serve returns http.ErrServerClosed, and the listener
 // stops accepting new connections.
 func TestGracefulShutdownCompletesInFlight(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	srv := New(Config{Metrics: reg, ExploreWorkers: 1})
+	srv := New(Config{ExploreWorkers: 1})
+	reg := srv.Metrics()
 	url, served := startServer(t, srv)
 
 	// Launch an exploration slow enough to still be running when the
@@ -136,12 +135,11 @@ func TestGracefulShutdownCompletesInFlight(t *testing.T) {
 // gets 504 rather than a hung connection, and Shutdown still returns
 // once the handler unwinds.
 func TestShutdownDeadlineCancelsExplore(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	srv := New(Config{
-		Metrics:        reg,
 		ExploreWorkers: 1,
 		ExploreTimeout: 100 * time.Millisecond,
 	})
+	reg := srv.Metrics()
 	url, served := startServer(t, srv)
 
 	got := make(chan int, 1)

@@ -474,7 +474,7 @@ func TestTenantMetricsValidProm(t *testing.T) {
 // window/hysteresis arithmetic without a single sleep.
 func TestBrownoutControllerLadder(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	b := newBrownout(reg, time.Second, 0.05, 5*time.Second)
+	b := newBrownout(reg)
 	now := time.Unix(1000, 0)
 
 	// Window 1: 10% shed — one step up.
@@ -537,7 +537,8 @@ func TestBrownoutControllerLadder(t *testing.T) {
 func TestBrownoutDegradesBulkNotPredict(t *testing.T) {
 	// A huge brownout window so real request traffic in this test can
 	// never roll a window and disturb the forced level.
-	srv := New(Config{MaxExploreCandidates: 6400, BrownoutWindow: time.Hour})
+	srv := New(Config{MaxExploreCandidates: 6400})
+	srv.brownout.window = time.Hour
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
