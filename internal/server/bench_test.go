@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,9 +98,9 @@ func predictPayload(b *testing.B) []byte {
 
 // BenchmarkServerPredictUncached disables the cache so every iteration
 // runs the whole pipeline: wire decode, kernel, wire encode. Response
-// rendering is bit-for-bit encoding/json, so most of this time is
-// irreducible shortest-form float formatting (strconv's ryu) — the
-// binary benchmark below shows the same path without it.
+// rendering is bit-for-bit encoding/json, so much of this time is
+// shortest-form float formatting (appendFloat) — the binary benchmark
+// below shows the same path without it.
 func BenchmarkServerPredictUncached(b *testing.B) {
 	srv := New(Config{CacheSize: -1})
 	ph := newPredictHarness(srv.Handler(), predictPayload(b), nil)
@@ -240,5 +241,51 @@ func BenchmarkServerExplore(b *testing.B) {
 				ph.run(b)
 			}
 		})
+	}
+}
+
+// batchPayload is a batch-bulk-shaped /v1/predict/batch body: 256
+// worksheets cycling the three case studies, each magnitude scaled by
+// a seeded factor in [1/4, 4], alphas in [0.05, 1] and clocks in
+// [50, 250] MHz, rounded as perfbench rounds them.
+func batchPayload(b *testing.B) []byte {
+	r := rand.New(rand.NewSource(7))
+	scale := func(v float64) float64 { return v * math.Exp2(4*r.Float64()-2) }
+	round := func(v, unit float64) float64 { return math.Max(unit, math.Round(v/unit)*unit) }
+	bases := []core.Parameters{paper.PDF1DParams(), paper.PDF2DParams(), paper.MDParams()}
+	docs := make([]worksheet.Doc, 256)
+	for i := range docs {
+		d := worksheet.DocFromParams(bases[i%len(bases)])
+		d.Dataset.ElementsIn = int64(round(scale(float64(d.Dataset.ElementsIn)), 1))
+		d.Dataset.ElementsOut = int64(round(scale(float64(d.Dataset.ElementsOut)), 1))
+		d.Comm.IdealThroughputMBps = round(scale(d.Comm.IdealThroughputMBps), 1)
+		d.Comm.AlphaWrite = round(0.05+0.95*r.Float64(), 0.001)
+		d.Comm.AlphaRead = round(0.05+0.95*r.Float64(), 0.001)
+		d.Comp.OpsPerElement = round(scale(d.Comp.OpsPerElement), 1)
+		d.Comp.ThroughputProc = round(scale(d.Comp.ThroughputProc), 0.1)
+		d.Comp.ClockMHz = float64(50 + r.Intn(201))
+		d.Soft.TSoftSeconds = round(scale(d.Soft.TSoftSeconds), 0.0001)
+		d.Soft.Iterations = int64(round(scale(float64(d.Soft.Iterations)), 1))
+		docs[i] = d
+	}
+	body, err := json.Marshal(docs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkServerBatch measures one default-config POST
+// /v1/predict/batch of 256 worksheets in process, JSON both ways: body
+// read, wire decode, the batch kernel, wire encode (20 floats per
+// worksheet), write. Not gated.
+func BenchmarkServerBatch(b *testing.B) {
+	ph := newPredictHarness(New(Config{}).Handler(), batchPayload(b), nil)
+	ph.req.URL.Path, ph.req.RequestURI = "/v1/predict/batch", "/v1/predict/batch"
+	ph.warm(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ph.run(b)
 	}
 }

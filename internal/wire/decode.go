@@ -430,25 +430,26 @@ func (d *jsonDecoder) valueInt64(dst *int64) error {
 	if c == 'n' {
 		return d.literalNull()
 	}
-	num, isInt, err := d.scanNumber()
+	n, err := d.scanNumber()
 	if err != nil {
 		return err
 	}
-	if !isInt {
-		return fmt.Errorf("cannot unmarshal number %s into an integer field", num)
+	if !n.isInt {
+		return fmt.Errorf("cannot unmarshal number %s into an integer field", n.raw)
 	}
-	v, err := strconv.ParseInt(bstr(num), 10, 64)
+	v, err := strconv.ParseInt(bstr(n.raw), 10, 64)
 	if err != nil {
-		return fmt.Errorf("cannot unmarshal number %s into an integer field: %w", num, err)
+		return fmt.Errorf("cannot unmarshal number %s into an integer field: %w", n.raw, err)
 	}
 	*dst = v
 	return nil
 }
 
 // valueFloat64 parses a number-or-null member value into a float64.
-// The grammar is validated before ParseFloat sees the bytes (ParseFloat
-// alone would admit hex floats and underscores JSON forbids); range
-// errors (1e309) reject the document exactly as encoding/json does.
+// The grammar is validated before any conversion (ParseFloat alone
+// would admit hex floats and underscores JSON forbids). Tokens the
+// exact fast path cannot take go to ParseFloat, whose range errors
+// (1e309) reject the document exactly as encoding/json does.
 func (d *jsonDecoder) valueFloat64(dst *float64) error {
 	c, err := d.peek()
 	if err != nil {
@@ -457,13 +458,17 @@ func (d *jsonDecoder) valueFloat64(dst *float64) error {
 	if c == 'n' {
 		return d.literalNull()
 	}
-	num, _, err := d.scanNumber()
+	n, err := d.scanNumber()
 	if err != nil {
 		return err
 	}
-	v, err := strconv.ParseFloat(bstr(num), 64)
+	if v, ok := n.exactFloat64(); ok {
+		*dst = v
+		return nil
+	}
+	v, err := strconv.ParseFloat(bstr(n.raw), 64)
 	if err != nil {
-		return fmt.Errorf("cannot unmarshal number %s into a float64 field: %w", num, err)
+		return fmt.Errorf("cannot unmarshal number %s into a float64 field: %w", n.raw, err)
 	}
 	*dst = v
 	return nil
@@ -663,58 +668,127 @@ func getu4(s []byte) rune {
 	return r
 }
 
+// number is one JSON number token as scanNumber read it. When exact
+// is set, the token's value is mant×10^exp (negated when neg): it has
+// at most 19 significant digits, all of them in mant.
+type number struct {
+	raw   []byte // the token's bytes
+	isInt bool   // no fraction and no exponent
+	neg   bool
+	exact bool
+	nd    int // significant digits in mant, leading zeros not counted
+	mant  uint64
+	exp   int
+}
+
+// digit folds the next digit into the mantissa. It reports false, and
+// clears exact, once a 20th significant digit would not fit.
+func (n *number) digit(c byte) bool {
+	if n.nd == 19 {
+		n.exact = false
+		return false
+	}
+	n.mant = n.mant*10 + uint64(c-'0')
+	if n.mant != 0 {
+		n.nd++
+	}
+	return true
+}
+
+// float64pow10[i] is 10^i; every entry is exact in a float64.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// exactFloat64 returns the token's value when one correctly rounded
+// operation gives it (Clinger's fast path): a mantissa up to 2^53 and
+// a power of ten up to 1e22 are both exact in a float64, so their
+// product or quotient is the correctly rounded value, the one
+// strconv.ParseFloat returns. Negating last keeps -0 negative.
+func (n *number) exactFloat64() (float64, bool) {
+	if !n.exact || n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+		return 0, false
+	}
+	f := float64(n.mant)
+	if n.exp >= 0 {
+		f *= float64pow10[n.exp]
+	} else {
+		f /= float64pow10[-n.exp]
+	}
+	if n.neg {
+		f = -f
+	}
+	return f, true
+}
+
 // scanNumber validates one number token against the JSON grammar
-// ('-'? int frac? exp?) and returns its bytes plus whether it stayed
-// integral (no fraction, no exponent).
-func (d *jsonDecoder) scanNumber() (num []byte, isInt bool, err error) {
+// ('-'? int frac? exp?) and, in the same pass, gathers its mantissa
+// and decimal exponent for the exact fast path.
+func (d *jsonDecoder) scanNumber() (n number, err error) {
 	start := d.pos
-	isInt = true
+	n.isInt, n.exact = true, true
 	if d.pos < len(d.data) && d.data[d.pos] == '-' {
+		n.neg = true
 		d.pos++
 	}
 	switch {
 	case d.pos >= len(d.data):
-		return nil, false, errUnexpectedEnd
+		return n, errUnexpectedEnd
 	case d.data[d.pos] == '0':
 		d.pos++
 	case '1' <= d.data[d.pos] && d.data[d.pos] <= '9':
-		d.pos++
 		for d.pos < len(d.data) && isDigit(d.data[d.pos]) {
+			n.digit(d.data[d.pos])
 			d.pos++
 		}
 	default:
-		return nil, false, fmt.Errorf("invalid character %q in numeric field", d.data[d.pos])
+		return n, fmt.Errorf("invalid character %q in numeric field", d.data[d.pos])
 	}
 	if d.pos < len(d.data) && d.data[d.pos] == '.' {
-		isInt = false
+		n.isInt = false
 		d.pos++
 		if d.pos >= len(d.data) {
-			return nil, false, errUnexpectedEnd
+			return n, errUnexpectedEnd
 		}
 		if !isDigit(d.data[d.pos]) {
-			return nil, false, fmt.Errorf("invalid character %q after decimal point", d.data[d.pos])
+			return n, fmt.Errorf("invalid character %q after decimal point", d.data[d.pos])
 		}
 		for d.pos < len(d.data) && isDigit(d.data[d.pos]) {
+			if n.digit(d.data[d.pos]) {
+				n.exp--
+			}
 			d.pos++
 		}
 	}
 	if d.pos < len(d.data) && (d.data[d.pos] == 'e' || d.data[d.pos] == 'E') {
-		isInt = false
+		n.isInt = false
 		d.pos++
+		neg := false
 		if d.pos < len(d.data) && (d.data[d.pos] == '+' || d.data[d.pos] == '-') {
+			neg = d.data[d.pos] == '-'
 			d.pos++
 		}
 		if d.pos >= len(d.data) {
-			return nil, false, errUnexpectedEnd
+			return n, errUnexpectedEnd
 		}
 		if !isDigit(d.data[d.pos]) {
-			return nil, false, fmt.Errorf("invalid character %q in exponent", d.data[d.pos])
+			return n, fmt.Errorf("invalid character %q in exponent", d.data[d.pos])
 		}
+		e := 0
 		for d.pos < len(d.data) && isDigit(d.data[d.pos]) {
+			if e < 10000 { // far past the fast path; stop before overflow
+				e = e*10 + int(d.data[d.pos]-'0')
+			}
 			d.pos++
 		}
+		if neg {
+			e = -e
+		}
+		n.exp += e
 	}
-	return d.data[start:d.pos], isInt, nil
+	n.raw = d.data[start:d.pos]
+	return n, nil
 }
 
 // literalNull consumes the null literal.

@@ -32,21 +32,21 @@ func AppendPrediction(dst []byte, p *api.Prediction) ([]byte, error) {
 
 // AppendPredictions appends the JSON array json.Marshal would produce
 // for the api wire forms of prs — the /v1/predict/batch response body.
+// A non-finite prediction abandons the array: dst comes back at its
+// original length, with the error.
 //
 //rat:hotpath
 func AppendPredictions(dst []byte, prs []core.Prediction) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, '[')
 	for i := range prs {
 		p := api.PredictionFromCore(prs[i])
 		if !finitePrediction(&p) {
-			return dst, errNonFinite
+			return dst[:n0], errNonFinite
 		}
-	}
-	dst = append(dst, '[')
-	for i := range prs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		p := api.PredictionFromCore(prs[i])
 		dst = appendPrediction(dst, &p)
 	}
 	return append(dst, ']'), nil
@@ -173,28 +173,6 @@ func appendDoc(dst []byte, p *api.Prediction) []byte {
 	dst = append(dst, `,"iterations":`...)
 	dst = strconv.AppendInt(dst, d.Soft.Iterations, 10)
 	return append(dst, `}}`...)
-}
-
-// appendFloat appends f exactly as encoding/json's floatEncoder does:
-// shortest round-trip form, 'e' format outside [1e-6, 1e21) with the
-// exponent's redundant leading zero stripped (1e+05 not 1e+005 — or
-// rather 1e+21 not 1e+21 padded), 'f' otherwise. The caller has
-// already rejected NaN/Inf.
-func appendFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// Trim "e-05" to "e-5", matching json's cleanup.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 const hexDigits = "0123456789abcdef"

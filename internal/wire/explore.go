@@ -206,16 +206,16 @@ func (d *jsonDecoder) valueUint64(dst *uint64) error {
 	if c == 'n' {
 		return d.literalNull()
 	}
-	num, isInt, err := d.scanNumber()
+	n, err := d.scanNumber()
 	if err != nil {
 		return err
 	}
-	if !isInt {
-		return fmt.Errorf("cannot unmarshal number %s into an unsigned integer field", num)
+	if !n.isInt {
+		return fmt.Errorf("cannot unmarshal number %s into an unsigned integer field", n.raw)
 	}
-	v, err := strconv.ParseUint(bstr(num), 10, 64)
+	v, err := strconv.ParseUint(bstr(n.raw), 10, 64)
 	if err != nil {
-		return fmt.Errorf("cannot unmarshal number %s into an unsigned integer field: %w", num, err)
+		return fmt.Errorf("cannot unmarshal number %s into an unsigned integer field: %w", n.raw, err)
 	}
 	*dst = v
 	return nil

@@ -302,7 +302,7 @@ func TestExploreEncodeParity(t *testing.T) {
 // floats and requires the body and every JSONL line kind to match
 // json.Marshal and json.Encoder byte for byte, refusals included.
 func FuzzExploreEncodeParity(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2), uint8(1), 0.0, -0.0, 1e-7, 1e21)
+	f.Add(int64(1), uint8(3), uint8(2), uint8(1), 0.0, math.Copysign(0, -1), 1e-7, 1e21)
 	f.Add(int64(2), uint8(0), uint8(0), uint8(0), 5e-324, math.MaxFloat64, 1e20, 1e-6)
 	f.Add(int64(3), uint8(1), uint8(0), uint8(2), math.Inf(1), math.NaN(), 1.0/3, -2.5e-300)
 	f.Fuzz(func(t *testing.T, seed int64, nTop, nFront, nSpans uint8, f1, f2, f3, f4 float64) {

@@ -63,7 +63,7 @@ func FuzzWireDecodeParity(f *testing.F) {
 // agreement on refusing non-finite floats.
 func FuzzWireEncodeParity(f *testing.F) {
 	f.Add("1-D PDF estimation", int64(512), int64(1), 4.0, 1000.0, 0.37, 2.560096153846154)
-	f.Add("<h&>\u2028\ufffd", int64(-1), int64(math.MaxInt64), 1e-7, 1e21, math.Pi, -0.0)
+	f.Add("<h&>\u2028\ufffd", int64(-1), int64(math.MaxInt64), 1e-7, 1e21, math.Pi, math.Copysign(0, -1))
 	f.Add("\xffbad", int64(0), int64(0), math.Inf(1), math.NaN(), 5e-324, 1e20)
 	f.Fuzz(func(t *testing.T, name string, i1, i2 int64, f1, f2, f3, f4 float64) {
 		p := api.Prediction{
@@ -96,6 +96,44 @@ func FuzzWireEncodeParity(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encoding mismatch:\n  json: %s\n  wire: %s", want, got)
 		}
+	})
+}
+
+// FuzzAppendFloatParity renders every finite float64 the fuzzer's bits
+// spell and requires json.Marshal's bytes.
+func FuzzAppendFloatParity(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, 0.578, 1e-7, 1e21, 5e-324, math.MaxFloat64, 1 << 53} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("float encoding mismatch for %#x: json %s, wire %s", bits, want, got)
+		}
+	})
+}
+
+// FuzzFloatTokenParity reads every number token the JSON grammar
+// accepts the way valueFloat64 does and requires strconv.ParseFloat's
+// value, bit for bit, and its accept/reject outcome.
+func FuzzFloatTokenParity(f *testing.F) {
+	for _, tc := range floatTokenCases {
+		f.Add([]byte(tc.tok))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d := jsonDecoder{data: body}
+		n, err := d.scanNumber()
+		if err != nil {
+			return // not a number token: FuzzWireDecodeParity's ground
+		}
+		checkFloatToken(t, n.raw)
 	})
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -279,29 +282,116 @@ func TestAppendPredictionHostileStrings(t *testing.T) {
 	}
 }
 
-// TestAppendFloatParity sweeps the float encoder across format
-// boundaries and shortest-representation edge cases.
+// TestAppendFloatParity sweeps the float encoder against json.Marshal,
+// both signs of every value: mantissas 0, 1, 2^52-1 and three seeded
+// random ones at every binary exponent, the smallest and largest
+// subnormals, the neighbours of both format boundaries (1e-6 and
+// 1e21), the integers around 2^53, and every power of ten from 1e-323
+// to 1e308 with its neighbours.
 func TestAppendFloatParity(t *testing.T) {
-	values := []float64{
-		0, negZero(), 1, -1, 0.5, 1.0 / 3.0,
-		1e-7, 9.999999e-7, 1e-6, 1.0000001e-6,
-		1e20, 9.999999999999999e20, 1e21, 1.0000000000000001e21,
-		-1e-7, -1e21, 131.072e-6, 0.578, 2.560096153846154,
-		5e-324, 1.7976931348623157e308, 1234567890.12345678,
+	var values []float64
+	add := func(vs ...float64) {
+		for _, v := range vs {
+			values = append(values, v, -v)
+		}
 	}
+	r := rand.New(rand.NewSource(20))
+	const fracMask = 1<<52 - 1
+	for exp := uint64(0); exp < 0x7ff; exp++ {
+		for _, frac := range []uint64{0, 1, fracMask, r.Uint64() & fracMask, r.Uint64() & fracMask, r.Uint64() & fracMask} {
+			add(math.Float64frombits(exp<<52 | frac))
+		}
+	}
+	for i := uint64(1); i <= 4096; i++ {
+		add(math.Float64frombits(i), math.Float64frombits(1<<52-i))
+	}
+	for _, edge := range []float64{1e-6, 1e21} {
+		add(edge)
+		below, above := edge, edge
+		for i := 0; i < 4; i++ {
+			below, above = math.Nextafter(below, 0), math.Nextafter(above, math.Inf(1))
+			add(below, above)
+		}
+	}
+	for i := int64(1<<53 - 2); i <= 1<<53+4; i++ {
+		add(float64(i))
+	}
+	for e := -323; e <= 308; e++ {
+		p, err := strconv.ParseFloat("1e"+strconv.Itoa(e), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)))
+	}
+	add(1.0/3.0, 131.072e-6, 0.578, 2.560096153846154, 1234567890.12345678,
+		9.999999e-7, 1.0000001e-6, 9.999999999999999e20, math.MaxFloat64, math.SmallestNonzeroFloat64)
 	for _, v := range values {
 		want, err := json.Marshal(v)
 		if err != nil {
 			t.Fatalf("marshal %v: %v", v, err)
 		}
-		got := appendFloat(nil, v)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("float encoding mismatch for %v: json %s, wire %s", v, want, got)
+		if got := appendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("float encoding mismatch for %v (%#x): json %s, wire %s", v, math.Float64bits(v), want, got)
 		}
+	}
+	if got := appendFloat(nil, math.Copysign(0, -1)); string(got) != "-0" {
+		t.Fatalf("negative zero encodes as %s", got)
 	}
 }
 
-func negZero() float64 { return -0.0 }
+// floatTokenCases are number tokens around the limits of valueFloat64's
+// exact fast path, with whether it takes them: mantissas at 2^53 and
+// one either side, powers of ten at 1e22 and 1e23, 19 and 20
+// significant digits, negative zeros, and exponents far past the
+// float64 range.
+var floatTokenCases = []struct {
+	tok  string
+	fast bool
+}{
+	{"0", true}, {"-0", true}, {"-0.0e5", true}, {"0.0", true}, {"-0.000", true},
+	{"1", true}, {"0.578", true}, {"131.072", true}, {"0.000123", true}, {"-2.5e-3", true},
+	{"9007199254740991", true}, {"9007199254740992", true}, {"9007199254740993", false},
+	{"9007199254740991e22", true}, {"9007199254740993e-22", false}, {"-9007199254740993", false},
+	{"900719925474099.1", true}, {"900719925474099.3", false},
+	{"1e22", true}, {"1e23", false}, {"1e-22", true}, {"1e-23", false}, {"-1E+22", true},
+	{"1234567890123456789", false}, {"0.1234567890123456789", false},
+	{"12345678901234567890", false}, {"9999999999999999999", false},
+	{"1000000000000000000", false}, {"10000000000000000000", false},
+	{"0.00000000000000000000000000001", false}, {"0.00000000000000000001e20", true},
+	{"0e400", false}, {"-0e400", false}, {"1e-400", false}, {"1e400", false}, {"-1e309", false},
+	{"1e0000000000000000000000000000000022", true}, {"1e1000000000000000000000", false},
+	{"4.9e-324", false}, {"2.2250738585072014e-308", false}, {"1.7976931348623157e308", false},
+}
+
+// checkFloatToken requires valueFloat64 to read tok as
+// strconv.ParseFloat does: the same bits, or an error on both sides.
+func checkFloatToken(t *testing.T, tok []byte) {
+	t.Helper()
+	want, wantErr := strconv.ParseFloat(string(tok), 64)
+	var got float64
+	d := jsonDecoder{data: tok}
+	gotErr := d.valueFloat64(&got)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: ParseFloat error %v, valueFloat64 error %v", tok, wantErr, gotErr)
+	}
+	if wantErr == nil && math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: ParseFloat %v (%#x), valueFloat64 %v (%#x)", tok, want, math.Float64bits(want), got, math.Float64bits(got))
+	}
+}
+
+func TestFloatTokenParity(t *testing.T) {
+	for _, tc := range floatTokenCases {
+		checkFloatToken(t, []byte(tc.tok))
+		d := jsonDecoder{data: []byte(tc.tok)}
+		n, err := d.scanNumber()
+		if err != nil || len(n.raw) != len(tc.tok) {
+			t.Fatalf("%s: scanned %q, %v", tc.tok, n.raw, err)
+		}
+		if _, fast := n.exactFloat64(); fast != tc.fast {
+			t.Errorf("%s: fast path %v, want %v", tc.tok, fast, tc.fast)
+		}
+	}
+}
 
 func TestAppendersRejectNonFinite(t *testing.T) {
 	pr := api.PredictionFromCore(core.Prediction{Params: paper.PDF1DParams()})
