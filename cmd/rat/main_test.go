@@ -124,6 +124,19 @@ func TestSolveCommand(t *testing.T) {
 	if code != 1 || !strings.Contains(errOut, "unreachable") {
 		t.Errorf("unreachable target: exit %d, %s", code, errOut)
 	}
+	// A worksheet that validates but whose byte count overflows is a
+	// reported error, not a panic or an "infeasible" +Inf alpha.
+	over := paper.PDF1DParams()
+	over.Dataset.BytesPerElement = 1e300
+	over.Dataset.ElementsIn = 1 << 40
+	overPath := filepath.Join(t.TempDir(), "overflow.rat")
+	if err := os.WriteFile(overPath, []byte(worksheet.EncodeString(over)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut = runCLI(t, "solve", "-f", overPath, "-target", "2", "-for", "alpha")
+	if code != 1 || !strings.Contains(errOut, "TWrite") {
+		t.Errorf("overflowing worksheet: exit %d, stdout %q, stderr %q; want exit 1 naming TWrite", code, out, errOut)
+	}
 }
 
 func TestSweepCommand(t *testing.T) {

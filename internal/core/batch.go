@@ -12,16 +12,21 @@ import "fmt"
 
 // PredictInto evaluates Eqs. (1)-(11) into *out without allocating.
 // It is Predict for callers that own the result storage (preallocated
-// slices, arena-style buffers). On a validation error *out is zeroed.
+// slices, arena-style buffers), and it refuses what Predict refuses.
+// On any error *out is zeroed.
 //
 //rat:hotpath
 func PredictInto(p Parameters, out *Prediction) error {
-	if err := p.Validate(); err != nil {
-		*out = Prediction{}
-		return err
+	err := p.Validate()
+	if err == nil {
+		predictInto(p, out)
+		if out.finite() {
+			return nil
+		}
+		err = out.CheckFinite()
 	}
-	predictInto(p, out)
-	return nil
+	*out = Prediction{}
+	return err
 }
 
 // PredictBatch evaluates the throughput test for every parameter set in
@@ -30,7 +35,10 @@ func PredictInto(p Parameters, out *Prediction) error {
 // parameter sets are validated up front — on the first failure the
 // error names the offending index and nothing is written — and then the
 // whole batch is computed with zero allocations. out[i] is bit-for-bit
-// identical to the result of Predict(ps[i]).
+// identical to the result of Predict(ps[i]). A prediction that
+// overflows stops the batch with CheckFinite's error, prefixed with
+// its index: out holds the predictions up to and including that
+// index, the failing one as computed, and later entries are untouched.
 //
 //rat:hotpath
 func PredictBatch(ps []Parameters, out []Prediction) error {
@@ -45,6 +53,9 @@ func PredictBatch(ps []Parameters, out []Prediction) error {
 	}
 	for i := range ps {
 		predictInto(ps[i], &out[i])
+		if !out[i].finite() {
+			return fmt.Errorf("batch index %d: %w", i, out[i].CheckFinite())
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/chrec/rat/internal/core"
@@ -26,20 +27,31 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestPredictIntoZeroesOnError: failed validation must not leave stale
-// data in reused storage.
+// overflowParams is a worksheet whose every field validates but whose
+// derived times overflow: t_write is +Inf.
+func overflowParams() core.Parameters {
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	return p
+}
+
+// TestPredictIntoZeroesOnError: failed validation, or a result that
+// overflowed, must not leave stale data in reused storage.
 func TestPredictIntoZeroesOnError(t *testing.T) {
-	var out core.Prediction
-	if err := core.PredictInto(paper.PDF1DParams(), &out); err != nil {
-		t.Fatal(err)
-	}
 	bad := paper.PDF1DParams()
 	bad.Comp.ClockHz = 0
-	if err := core.PredictInto(bad, &out); !errors.Is(err, core.ErrInvalidParameters) {
-		t.Fatalf("err = %v, want ErrInvalidParameters", err)
-	}
-	if out != (core.Prediction{}) {
-		t.Errorf("failed PredictInto left stale prediction %+v", out)
+	for _, bad := range []core.Parameters{bad, overflowParams()} {
+		var out core.Prediction
+		if err := core.PredictInto(paper.PDF1DParams(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.PredictInto(bad, &out); !errors.Is(err, core.ErrInvalidParameters) {
+			t.Fatalf("err = %v, want ErrInvalidParameters", err)
+		}
+		if out != (core.Prediction{}) {
+			t.Errorf("failed PredictInto left stale prediction %+v", out)
+		}
 	}
 }
 
@@ -84,6 +96,17 @@ func TestPredictBatchValidation(t *testing.T) {
 	}
 	if out[0] != (core.Prediction{}) {
 		t.Error("failed batch wrote partial results before the invalid index")
+	}
+
+	// A result that overflows stops the batch at its index: the
+	// predictions before it are written, those after it are not.
+	out = make([]core.Prediction, 3)
+	err = core.PredictBatch([]core.Parameters{paper.PDF1DParams(), overflowParams(), paper.MDParams()}, out)
+	if !errors.Is(err, core.ErrInvalidParameters) || !strings.HasPrefix(err.Error(), "batch index 1: ") || !strings.Contains(err.Error(), "TWrite") {
+		t.Fatalf("overflow: err = %v, want an ErrInvalidParameters error naming batch index 1 and TWrite", err)
+	}
+	if out[0] != core.MustPredict(paper.PDF1DParams()) || out[2] != (core.Prediction{}) {
+		t.Errorf("overflow: batch left out[0] = %+v, out[2] = %+v", out[0], out[2])
 	}
 
 	// Empty batches are fine.

@@ -78,7 +78,9 @@ type MultiPrediction struct {
 	ScalingEfficiency float64
 }
 
-// PredictMulti evaluates the multi-FPGA throughput test.
+// PredictMulti evaluates the multi-FPGA throughput test. Like Predict,
+// it refuses a worksheet whose derived quantities overflow, with
+// CheckFinite's error.
 func PredictMulti(p Parameters, cfg MultiConfig) (MultiPrediction, error) {
 	if cfg.Devices < 1 {
 		return MultiPrediction{}, fmt.Errorf("%w: device count must be >= 1 (got %d)", ErrInvalidParameters, cfg.Devices)
@@ -107,6 +109,9 @@ func PredictMulti(p Parameters, cfg MultiConfig) (MultiPrediction, error) {
 	ideal := base.SpeedupDouble * n
 	if ideal > 0 {
 		mp.ScalingEfficiency = mp.SpeedupDouble / ideal
+	}
+	if err := mp.CheckFinite(); err != nil {
+		return MultiPrediction{}, err
 	}
 	return mp, nil
 }

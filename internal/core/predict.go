@@ -67,13 +67,18 @@ type Prediction struct {
 
 // Predict evaluates Eqs. (1)-(11) of the paper for the given
 // parameters. It is the forward direction of the RAT throughput test:
-// parameters in, predicted times, speedups and utilizations out.
+// parameters in, predicted times, speedups and utilizations out. A
+// worksheet that validates but whose derived quantities overflow is
+// refused with CheckFinite's error.
 func Predict(p Parameters) (Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return Prediction{}, err
 	}
 	var pr Prediction
 	predictInto(p, &pr)
+	if !pr.finite() {
+		return Prediction{}, pr.CheckFinite()
+	}
 	return pr, nil
 }
 
@@ -121,11 +126,13 @@ func predictInto(p Parameters, pr *Prediction) {
 }
 
 // MustPredict is Predict for parameter sets known to be valid, such as
-// package-level canonical worksheets; it panics on validation failure.
+// package-level canonical worksheets; it panics on any error Predict
+// returns, a validation failure or a derived quantity that overflows.
+// Code serving client input calls Predict.
 func MustPredict(p Parameters) Prediction {
 	pr, err := Predict(p)
 	if err != nil {
-		//rat:allow-panic Must-style wrapper documented to panic on validation failure
+		//rat:allow-panic Must-style wrapper documented to panic on Predict's errors
 		panic(err)
 	}
 	return pr
@@ -209,8 +216,9 @@ var predictionFields = [...]string{
 // Validate checks the inputs one field at a time, so a worksheet whose
 // every field is in range can still overflow a product:
 // BytesPerElement 1e300 with ElementsIn 2^40 makes TWrite +Inf and
-// UtilCommSB NaN. Serving surfaces call this after the kernel, so such
-// a worksheet is a client error rather than a non-finite answer.
+// UtilCommSB NaN. The kernel entry points (Predict, PredictInto,
+// PredictMulti, PredictBatch) return this error, so such a worksheet
+// is a client error rather than a non-finite answer.
 func (pr Prediction) CheckFinite() error {
 	// x*0 is 0 for finite x and NaN for an infinity or NaN, so one
 	// branch-free sum clears the common case; only a failure walks
@@ -224,6 +232,24 @@ func (pr Prediction) CheckFinite() error {
 		pr.TWrite, pr.TRead, pr.TComm, pr.TComp, pr.TRCSingle, pr.TRCDouble,
 		pr.SpeedupSingle, pr.SpeedupDouble,
 		pr.UtilCompSB, pr.UtilCommSB, pr.UtilCompDB, pr.UtilCommDB)
+}
+
+// finite reports whether every derived quantity of a prediction that
+// predictInto computed from validated parameters is a finite number.
+// Those inputs are finite and non-negative with at least one
+// iteration, so three quantities decide all twelve:
+//   - TRCSingle = iters*(TComm+TComp) is finite only if TWrite, TRead,
+//     TComm and TComp are, and it bounds TRCDouble;
+//   - SpeedupDouble bounds SpeedupSingle, as TRCDouble <= TRCSingle;
+//   - UtilCompSB is NaN exactly when TComm+TComp is 0, the only case
+//     in which a utilization falls outside [0, 1].
+//
+// x*0 is 0 for finite x and NaN otherwise, so one sum decides. The
+// pointer receiver checks the result in place rather than copying it.
+// TestPredictRefusesExactlyNonFinite pins the equivalence with
+// CheckFinite, which tests all twelve of any prediction.
+func (pr *Prediction) finite() bool {
+	return pr.TRCSingle*0+pr.SpeedupDouble*0+pr.UtilCompSB*0 == 0
 }
 
 // firstNonFinite returns the invalid-parameters error naming the first

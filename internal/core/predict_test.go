@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -333,8 +335,9 @@ func TestDerivedQuantities(t *testing.T) {
 }
 
 // TestCheckFinite: a worksheet whose every field passes Validate can
-// still overflow a derived quantity; CheckFinite names the first one
-// as an invalid-parameters error, for the single and multi outputs.
+// still overflow a derived quantity; Predict and PredictMulti refuse
+// it with CheckFinite's invalid-parameters error, which names the
+// first non-finite quantity.
 func TestCheckFinite(t *testing.T) {
 	for _, c := range []paper.Case{paper.PDF1D, paper.PDF2D, paper.MD} {
 		pr := core.MustPredict(paper.Params(c))
@@ -350,28 +353,60 @@ func TestCheckFinite(t *testing.T) {
 		}
 	}
 
-	p := paper.PDF1DParams()
-	p.Dataset.BytesPerElement = 1e300
-	p.Dataset.ElementsIn = 1 << 40
+	p := overflowParams()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("overflowing worksheet must pass field validation: %v", err)
 	}
 	pr, err := core.Predict(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = pr.CheckFinite()
 	if !errors.Is(err, core.ErrInvalidParameters) {
-		t.Fatalf("CheckFinite = %v, want an ErrInvalidParameters error", err)
+		t.Fatalf("Predict = %+v, %v; want an ErrInvalidParameters error", pr, err)
 	}
 	if !strings.Contains(err.Error(), "TWrite") {
-		t.Errorf("CheckFinite error %q does not name TWrite, the first non-finite quantity", err)
+		t.Errorf("Predict error %q does not name TWrite, the first non-finite quantity", err)
 	}
 	mp, err := core.PredictMulti(p, core.MultiConfig{Devices: 2, Topology: core.SharedChannel})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, core.ErrInvalidParameters) || !strings.Contains(err.Error(), "TWrite") {
+		t.Errorf("PredictMulti = %+v, %v; want an ErrInvalidParameters error naming TWrite", mp, err)
 	}
-	if err := mp.CheckFinite(); !errors.Is(err, core.ErrInvalidParameters) || !strings.Contains(err.Error(), "TWrite") {
-		t.Errorf("multi CheckFinite = %v, want an ErrInvalidParameters error naming TWrite", err)
+}
+
+// TestPredictRefusesExactlyNonFinite: Predict and PredictBatch refuse a
+// valid worksheet exactly when CheckFinite refuses its unchecked
+// prediction (SweepClock at the worksheet's own clock does not check),
+// with the same error. The worksheets are drawn from extreme values of
+// every field, so products overflow and quotients underflow.
+func TestPredictRefusesExactlyNonFinite(t *testing.T) {
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
+	floats := []float64{tiny, 1e-320, 1e-300, 1e-150, 0.5, 1, 1e150, 1e300, huge}
+	alphas := []float64{tiny, 1e-300, 0.5, 1}
+	ints := []int64{0, 1, 1 << 40, math.MaxInt64}
+	r := rand.New(rand.NewSource(21))
+	pick := func(vs []float64) float64 { return vs[r.Intn(len(vs))] }
+	refused := 0
+	for i := 0; i < 50000; i++ {
+		p := core.Parameters{
+			Dataset: core.DatasetParams{ElementsIn: 1 + ints[r.Intn(3)], ElementsOut: ints[r.Intn(4)], BytesPerElement: pick(floats)},
+			Comm:    core.CommParams{IdealThroughput: pick(floats), AlphaWrite: pick(alphas), AlphaRead: pick(alphas)},
+			Comp:    core.CompParams{OpsPerElement: pick(floats), ThroughputProc: pick(floats), ClockHz: pick(floats)},
+			Soft:    core.SoftwareParams{TSoft: pick(append(floats, 0)), Iterations: 1 + ints[r.Intn(3)]},
+		}
+		sweep, err := core.SweepClock(p, []float64{p.Comp.ClockHz})
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		want := sweep[0].CheckFinite()
+		_, got := core.Predict(p)
+		batchErr := core.PredictBatch([]core.Parameters{p}, make([]core.Prediction, 1))
+		wantBatch := error(nil)
+		if want != nil {
+			refused++
+			wantBatch = fmt.Errorf("batch index 0: %w", want)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(batchErr) != fmt.Sprint(wantBatch) {
+			t.Fatalf("%+v:\n  CheckFinite:  %v\n  Predict:      %v\n  PredictBatch: %v", p, want, got, batchErr)
+		}
+	}
+	if refused < 1000 {
+		t.Fatalf("only %d of 50000 worksheets overflowed; the draw no longer reaches the edge cases", refused)
 	}
 }

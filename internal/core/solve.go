@@ -101,13 +101,17 @@ func SolveClock(p Parameters, targetSpeedup float64, b Buffering) (float64, erro
 // interconnect be": a result above 1 means no interconnect of this
 // ideal bandwidth suffices. Only the communication side of the budget
 // is free, so under single buffering the computation time must already
-// fit; otherwise ErrUnreachable is returned.
+// fit; otherwise ErrUnreachable is returned. A worksheet that Predict
+// refuses, because a derived quantity overflows, gets Predict's error.
 func SolveAlpha(p Parameters, targetSpeedup float64, b Buffering) (float64, error) {
 	perIter, err := solveTarget(p, targetSpeedup)
 	if err != nil {
 		return 0, err
 	}
-	pr := MustPredict(p)
+	pr, err := Predict(p)
+	if err != nil {
+		return 0, err
+	}
 	var commBudget float64
 	switch b {
 	case DoubleBuffered:
@@ -128,7 +132,8 @@ func SolveAlpha(p Parameters, targetSpeedup float64, b Buffering) (float64, erro
 // RequiredTSoft returns the software baseline time that would make the
 // current design exactly meet the target speedup — the break-even
 // question inverted: "how slow does software have to be for this
-// migration to pay off at factor k".
+// migration to pay off at factor k". Like SolveAlpha, it returns
+// Predict's error for a worksheet whose derived quantities overflow.
 func RequiredTSoft(p Parameters, targetSpeedup float64, b Buffering) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
@@ -136,7 +141,10 @@ func RequiredTSoft(p Parameters, targetSpeedup float64, b Buffering) (float64, e
 	if targetSpeedup <= 0 {
 		return 0, fmt.Errorf("%w: speedup target must be positive (got %v)", ErrInvalidParameters, targetSpeedup)
 	}
-	pr := MustPredict(p)
+	pr, err := Predict(p)
+	if err != nil {
+		return 0, err
+	}
 	return targetSpeedup * pr.TRC(b), nil
 }
 

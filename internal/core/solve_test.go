@@ -169,6 +169,16 @@ func TestSolveArgumentValidation(t *testing.T) {
 	if _, err := core.CrossoverClock(bad); !errors.Is(err, core.ErrInvalidParameters) {
 		t.Errorf("CrossoverClock invalid params: error = %v, want ErrInvalidParameters", err)
 	}
+	// A worksheet that validates but overflows is refused by the
+	// solvers that evaluate the forward model, not answered with +Inf.
+	for _, b := range []core.Buffering{core.SingleBuffered, core.DoubleBuffered} {
+		if a, err := core.SolveAlpha(overflowParams(), 10, b); !errors.Is(err, core.ErrInvalidParameters) {
+			t.Errorf("SolveAlpha overflow (%s) = %v, %v; want ErrInvalidParameters", b, a, err)
+		}
+		if ts, err := core.RequiredTSoft(overflowParams(), 10, b); !errors.Is(err, core.ErrInvalidParameters) {
+			t.Errorf("RequiredTSoft overflow (%s) = %v, %v; want ErrInvalidParameters", b, ts, err)
+		}
+	}
 }
 
 func TestRequiredTSoft(t *testing.T) {

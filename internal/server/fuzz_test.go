@@ -11,6 +11,7 @@ import (
 
 	"github.com/chrec/rat/internal/core"
 	"github.com/chrec/rat/internal/paper"
+	"github.com/chrec/rat/internal/wire"
 	"github.com/chrec/rat/internal/worksheet"
 )
 
@@ -48,9 +49,12 @@ func FuzzDecodeWorksheetRequest(f *testing.F) {
 	handler := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, body, devices, topology string) {
-		// Layer 1: the decoder either succeeds or returns a classified
-		// error from the 400 families.
-		_, _, err := decodePredictRequest([]byte(body), devices, topology)
+		// Layer 1: the decoders of the body and the query either
+		// succeed or return a classified error from the 400 families.
+		_, err := wire.DecodeWorksheet([]byte(body))
+		if err == nil {
+			_, err = multiConfigFromQuery(devices, topology)
+		}
 		if err != nil &&
 			!errors.Is(err, core.ErrInvalidParameters) &&
 			!errors.Is(err, worksheet.ErrSyntax) {

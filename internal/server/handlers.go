@@ -50,10 +50,10 @@ const maxInternedNames = 1024
 // body is the caller's fault (400).
 const maxBodyBytes = 1 << 20
 
-// scratch is the pooled per-request working set of the predict paths:
-// the body read buffer, the cache-key buffer, the response build
-// buffer and the worksheet-name intern table. One Get covers a whole
-// request; nothing in it survives the handler.
+// scratch is the pooled per-request working set of the predict, batch
+// and explore paths: the body read buffer, the cache-key buffer, the
+// response build buffer and the worksheet-name intern table. One Get
+// covers a whole request; nothing in it survives the handler.
 type scratch struct {
 	body []byte
 	key  []byte
@@ -159,23 +159,6 @@ func multiConfigFromQuery(devicesQ, topologyQ string) (core.MultiConfig, error) 
 	return cfg, nil
 }
 
-// decodePredictRequest parses the body of POST /v1/predict — the JSON
-// worksheet form — plus the optional devices/topology query
-// parameters. Every failure wraps core.ErrInvalidParameters or
-// worksheet.ErrSyntax, so hostile bodies always map to 400, never to a
-// panic or 500 (pinned by FuzzDecodeWorksheetRequest).
-func decodePredictRequest(body []byte, devicesQ, topologyQ string) (core.Parameters, core.MultiConfig, error) {
-	p, err := wire.DecodeWorksheet(body)
-	if err != nil {
-		return core.Parameters{}, core.MultiConfig{}, err
-	}
-	cfg, err := multiConfigFromQuery(devicesQ, topologyQ)
-	if err != nil {
-		return core.Parameters{}, core.MultiConfig{}, err
-	}
-	return p, cfg, nil
-}
-
 // handlePredict serves POST /v1/predict: one worksheet in, one
 // prediction out — bit-for-bit what rat.Predict (or rat.PredictMulti
 // with ?devices=N) returns for the same worksheet. Either side of the
@@ -249,18 +232,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The kernel is the validating core.Predict/PredictMulti; a result
-	// that overflowed to a non-finite number is the worksheet's fault
-	// (400), checked before anything is rendered or cached.
+	// The kernel is the validating core.Predict/PredictMulti, which
+	// also refuses a result that overflowed to a non-finite number: the
+	// worksheet's fault (400), caught before anything is rendered or
+	// cached.
 	sc.out = sc.out[:0]
 	if cfg.Devices == 1 {
 		var pr core.Prediction
 		clk.start()
 		pr, err = core.Predict(p)
 		clk.stop(obs.StageKernel)
-		if err == nil {
-			err = pr.CheckFinite()
-		}
 		if err != nil {
 			writeError(w, httpStatus(err), err)
 			return
@@ -278,9 +259,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		clk.start()
 		mp, err = core.PredictMulti(p, cfg)
 		clk.stop(obs.StageKernel)
-		if err == nil {
-			err = mp.CheckFinite()
-		}
 		if err != nil {
 			writeError(w, httpStatus(err), err)
 			return
@@ -383,15 +361,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sl.out = sl.out[:len(sl.ps)]
 
-	// PredictBatch validates every worksheet up front; its errors, like
-	// checkFiniteBatch's, name the offending index and wrap
+	// PredictBatch validates every worksheet up front and refuses a
+	// non-finite result; its errors name the offending index and wrap
 	// ErrInvalidParameters.
 	clk.start()
 	err = core.PredictBatch(sl.ps, sl.out)
 	clk.stop(obs.StageKernel)
-	if err == nil {
-		err = checkFiniteBatch(sl.out)
-	}
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
@@ -411,18 +386,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	clk.setHeader(w, r)
 	writeBody(w, sc.out, binResp)
-}
-
-// checkFiniteBatch is core.Prediction.CheckFinite over a batch, with
-// the failing worksheet's index in the error as PredictBatch reports
-// validation failures.
-func checkFiniteBatch(preds []core.Prediction) error {
-	for i := range preds {
-		if err := preds[i].CheckFinite(); err != nil {
-			return fmt.Errorf("batch index %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // exploreJob is an explore request made ready to run: its grid

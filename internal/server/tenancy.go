@@ -16,11 +16,11 @@ import (
 
 // tenancy is the multi-tenant admission layer: API-key identity,
 // per-tenant token-bucket quotas and concurrency caps, and per-tenant
-// RED metrics. It sits in the middleware in front of the shared
-// priority semaphore, so a tenant over its quota is refused before it
-// can occupy any of the pool. A Server without a tenant registry has
-// no tenancy layer at all and its request path is byte-identical to
-// the pre-tenancy server.
+// RED metrics. It sits in the middleware in front of the per-endpoint
+// admission semaphores, so a tenant over its quota is refused before
+// it can hold an admission slot on any endpoint. A Server without a
+// tenant registry has no tenancy layer at all and its request path is
+// byte-identical to the pre-tenancy server.
 type tenancy struct {
 	reg         *tenant.Registry
 	exploreCost float64

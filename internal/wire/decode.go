@@ -1,23 +1,48 @@
-// Package wire implements the hand-rolled wire codecs of the ratd
-// predict hot path: a JSON tokenizer specialized to the fixed
-// worksheet shape whose accept/reject behavior is byte-identical to
-// encoding/json (pinned by differential tests and
-// FuzzWireDecodeParity), a JSON response encoder whose output is
+// Package wire implements the hand-rolled wire codecs of ratd: a JSON
+// request decoder whose accept/reject behaviour and decoded values are
+// those of encoding/json, a JSON response encoder whose output is
 // byte-identical to json.Marshal over the api wire structs, and a
 // compact binary frame format (application/x-rat-bin) negotiated via
 // Content-Type/Accept for bulk traffic.
 //
-// The decoder and encoder operate over caller-provided byte slices so
-// the server can thread pooled buffers through the whole request: a
-// steady-state predict request decodes, canonicalizes, and encodes
-// without allocating.
+// The JSON decoder is a cursor over the request body (jsonDecoder)
+// with one implementation of each JSON construct:
+//
+//   - One object loop, decodeWorksheet, reads the worksheet and each of
+//     its four groups (dataset, communication, computation, software);
+//     worksheetMember dispatches statically on (object, member index).
+//     Keys match exactly or else by Unicode case folding, repeated keys
+//     merge, null leaves a field as it was, and an unknown key is an
+//     error, as with json.Decoder.DisallowUnknownFields.
+//   - One array cursor, open and next, walks batch bodies
+//     (DecodeWorksheetDocs), the explore request's arrays (decodeArray)
+//     and, with '{', every object's members.
+//   - One string decoder, valueString, which interns through the
+//     caller's interner when there is one.
+//   - One number scan, scanNumber, which gathers up to 19 significant
+//     digits while it checks the grammar. valueFloat64 takes Clinger's
+//     exact fast path from them and valueInteger takes an integer of up
+//     to 19 digits straight from them; strconv parses only the rest.
+//
+// DecodeExploreRequest (explore.go) has its own member switch over the
+// same helpers. Differential tests and fuzz targets against
+// encoding/json pin every decoder: FuzzWireDecodeParity,
+// FuzzWorksheetDocsParity, FuzzExploreRequestParity and
+// FuzzFloatTokenParity.
+//
+// The decoder and encoder work over caller-provided byte slices so the
+// server can thread pooled buffers through a whole request: a
+// steady-state predict request decodes and encodes without allocating
+// (TestDecodeAllocs).
 package wire
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -34,27 +59,25 @@ func bstr(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 var errUnexpectedEnd = errors.New("unexpected end of JSON input")
 
-// Field-name tables, one per object in the worksheet shape. Matching
-// prefers exact bytes and falls back to Unicode case folding, the same
-// two-step rule encoding/json applies to struct tags.
-var (
-	worksheetFields = [][]byte{
-		[]byte("name"), []byte("dataset"), []byte("communication"),
-		[]byte("computation"), []byte("software"),
-	}
-	datasetFields = [][]byte{
-		[]byte("elements_in"), []byte("elements_out"), []byte("bytes_per_element"),
-	}
-	commFields = [][]byte{
-		[]byte("ideal_throughput_mbps"), []byte("alpha_write"), []byte("alpha_read"),
-	}
-	compFields = [][]byte{
-		[]byte("ops_per_element"), []byte("throughput_proc"), []byte("clock_mhz"),
-	}
-	softFields = [][]byte{
-		[]byte("tsoft_seconds"), []byte("iterations"),
-	}
+// The objects of the worksheet shape. A group's number is its member
+// index in the worksheet object.
+const (
+	objWorksheet = iota
+	objDataset
+	objComm
+	objComp
+	objSoft
 )
+
+// worksheetKeys[obj] is the member-name table of object obj, in struct
+// order.
+var worksheetKeys = [...][][]byte{
+	objWorksheet: {[]byte("name"), []byte("dataset"), []byte("communication"), []byte("computation"), []byte("software")},
+	objDataset:   {[]byte("elements_in"), []byte("elements_out"), []byte("bytes_per_element")},
+	objComm:      {[]byte("ideal_throughput_mbps"), []byte("alpha_write"), []byte("alpha_read")},
+	objComp:      {[]byte("ops_per_element"), []byte("throughput_proc"), []byte("clock_mhz")},
+	objSoft:      {[]byte("tsoft_seconds"), []byte("iterations")},
+}
 
 // matchField resolves a decoded object key to its field index,
 // preferring an exact match and falling back to bytes.EqualFold — the
@@ -75,7 +98,8 @@ func matchField(key []byte, names [][]byte) int {
 }
 
 // jsonDecoder is a cursor over one request body. The zero position is
-// the start of the (single) JSON value to decode.
+// the start of the (single) JSON value to decode. intern, when set,
+// turns clean strings into Go strings.
 type jsonDecoder struct {
 	data   []byte
 	pos    int
@@ -86,7 +110,7 @@ type jsonDecoder struct {
 // drop-in replacement for worksheet.DecodeJSON on the predict path.
 // It accepts and rejects byte-identically with DecodeJSON (unknown
 // fields rejected at every nesting level, trailing data after the
-// top-level object ignored) and yields identical core.Parameters;
+// top-level value ignored) and yields identical core.Parameters;
 // FuzzWireDecodeParity pins the equivalence. Syntax errors wrap
 // worksheet.ErrSyntax, validation errors core.ErrInvalidParameters.
 func DecodeWorksheet(data []byte) (core.Parameters, error) {
@@ -102,7 +126,7 @@ func DecodeWorksheet(data []byte) (core.Parameters, error) {
 func DecodeWorksheetIntern(data []byte, intern func([]byte) string) (core.Parameters, error) {
 	d := jsonDecoder{data: data, intern: intern}
 	var doc worksheet.Doc
-	if err := d.decodeTopLevel(&doc); err != nil {
+	if err := d.decodeWorksheet(objWorksheet, &doc); err != nil {
 		return core.Parameters{}, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
 	}
 	p := doc.Params()
@@ -116,332 +140,197 @@ func DecodeWorksheetIntern(data []byte, intern func([]byte) string) (core.Parame
 // unvalidated core.Parameters per element — the exact shape
 // /v1/predict/batch historically decoded via encoding/json (a
 // []worksheet.Doc with unknown fields rejected, elements converted by
-// Doc.Params, validation deferred to core.PredictBatch). A top-level
-// null yields no elements, mirroring JSON null into a slice. Errors
-// wrap worksheet.ErrSyntax.
+// Doc.Params, validation deferred to core.PredictBatch).
+// FuzzWorksheetDocsParity pins the equivalence. A top-level null
+// yields no elements and a null element a zero worksheet, as json
+// decodes them into a slice. Errors wrap worksheet.ErrSyntax.
 //
 //rat:hotpath
 func DecodeWorksheetDocs(data []byte, params []core.Parameters, intern func([]byte) string) ([]core.Parameters, error) {
 	d := jsonDecoder{data: data, intern: intern}
-	d.skipSpace()
-	c, err := d.peek()
-	if err != nil {
-		return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
-	}
-	switch c {
-	case 'n':
-		if err := d.literalNull(); err != nil {
-			return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
-		}
-		return params, nil
-	case '[':
-		d.pos++
-	default:
-		return params, fmt.Errorf("%w: batch body must be a JSON array of worksheets (invalid character %q looking for beginning of value)",
-			worksheet.ErrSyntax, c)
-	}
-	d.skipSpace()
-	c, err = d.peek()
-	if err != nil {
-		return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
-	}
-	if c == ']' {
-		d.pos++
-		return params, nil
-	}
-	for {
+	_, more, err := d.open('[')
+	for more && err == nil {
 		var doc worksheet.Doc
-		switch c {
-		case 'n':
-			err = d.literalNull() // null element: a zero worksheet, as encoding/json decodes it
-		case '{':
-			d.pos++
-			err = d.decodeWorksheetObject(&doc)
-		default:
-			err = fmt.Errorf("batch elements must be worksheet objects (invalid character %q)", c)
-		}
-		if err != nil {
-			return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
+		if err = d.decodeWorksheet(objWorksheet, &doc); err != nil {
+			break
 		}
 		params = append(params, doc.Params())
-		d.skipSpace()
-		c, err = d.peek()
-		if err != nil {
-			return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
-		}
-		switch c {
-		case ',':
-			d.pos++
-			d.skipSpace()
-			c, err = d.peek()
-			if err != nil {
-				return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
-			}
-		case ']':
-			d.pos++
-			return params, nil
-		default:
-			return params, fmt.Errorf("%w: invalid character %q after array element", worksheet.ErrSyntax, c)
-		}
+		more, err = d.next('[')
 	}
+	if err != nil {
+		return params, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
+	}
+	return params, nil
 }
 
-// decodeTopLevel parses the single top-level JSON value of a predict
-// body: a worksheet object or null. Trailing bytes after the object
-// are ignored and a top-level null must be followed by whitespace
-// only — both exactly how json.Decoder.Decode reads one value from a
-// stream.
-func (d *jsonDecoder) decodeTopLevel(doc *worksheet.Doc) error {
-	d.skipSpace()
-	c, err := d.peek()
+// decodeWorksheet parses an object-or-null value of object obj (the
+// worksheet or one of its groups) into doc. null leaves doc as it was.
+func (d *jsonDecoder) decodeWorksheet(obj int, doc *worksheet.Doc) error {
+	_, more, err := d.open('{')
+	for more && err == nil {
+		if err = d.worksheetMember(obj, doc); err == nil {
+			more, err = d.next('{')
+		}
+	}
+	return err
+}
+
+// worksheetMember parses one member of object obj, key and value, into
+// doc.
+func (d *jsonDecoder) worksheetMember(obj int, doc *worksheet.Doc) error {
+	idx, err := d.key(worksheetKeys[obj])
 	if err != nil {
 		return err
 	}
-	switch c {
-	case '{':
-		d.pos++
-		return d.decodeWorksheetObject(doc)
-	case 'n':
-		return d.literalNull()
-	}
-	return fmt.Errorf("worksheet body must be a JSON object (invalid character %q looking for beginning of value)", c)
-}
-
-// decodeWorksheetObject parses the worksheet object body; the opening
-// brace is already consumed.
-func (d *jsonDecoder) decodeWorksheetObject(doc *worksheet.Doc) error {
-	first := true
-	for {
-		idx, more, err := d.nextField(worksheetFields, first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		first = false
-		switch idx {
-		case 0:
-			err = d.valueName(&doc.Name)
-		case 1:
-			err = d.decodeDataset(doc)
-		case 2:
-			err = d.decodeComm(doc)
-		case 3:
-			err = d.decodeComp(doc)
-		default:
-			err = d.decodeSoft(doc)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *jsonDecoder) decodeDataset(doc *worksheet.Doc) error {
-	open, err := d.objectOrNull("dataset")
-	if err != nil || !open {
-		return err
-	}
-	first := true
-	for {
-		idx, more, err := d.nextField(datasetFields, first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		first = false
-		switch idx {
-		case 0:
-			err = d.valueInt64(&doc.Dataset.ElementsIn)
-		case 1:
-			err = d.valueInt64(&doc.Dataset.ElementsOut)
-		default:
-			err = d.valueFloat64(&doc.Dataset.BytesPerElement)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *jsonDecoder) decodeComm(doc *worksheet.Doc) error {
-	open, err := d.objectOrNull("communication")
-	if err != nil || !open {
-		return err
-	}
-	first := true
-	for {
-		idx, more, err := d.nextField(commFields, first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		first = false
-		switch idx {
-		case 0:
-			err = d.valueFloat64(&doc.Comm.IdealThroughputMBps)
-		case 1:
-			err = d.valueFloat64(&doc.Comm.AlphaWrite)
-		default:
-			err = d.valueFloat64(&doc.Comm.AlphaRead)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *jsonDecoder) decodeComp(doc *worksheet.Doc) error {
-	open, err := d.objectOrNull("computation")
-	if err != nil || !open {
-		return err
-	}
-	first := true
-	for {
-		idx, more, err := d.nextField(compFields, first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		first = false
-		switch idx {
-		case 0:
-			err = d.valueFloat64(&doc.Comp.OpsPerElement)
-		case 1:
-			err = d.valueFloat64(&doc.Comp.ThroughputProc)
-		default:
-			err = d.valueFloat64(&doc.Comp.ClockMHz)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (d *jsonDecoder) decodeSoft(doc *worksheet.Doc) error {
-	open, err := d.objectOrNull("software")
-	if err != nil || !open {
-		return err
-	}
-	first := true
-	for {
-		idx, more, err := d.nextField(softFields, first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		first = false
+	ds, cm, cp, sw := &doc.Dataset, &doc.Comm, &doc.Comp, &doc.Soft
+	switch obj {
+	case objWorksheet:
 		if idx == 0 {
-			err = d.valueFloat64(&doc.Soft.TSoftSeconds)
-		} else {
-			err = d.valueInt64(&doc.Soft.Iterations)
+			return d.valueString(&doc.Name)
 		}
-		if err != nil {
-			return err
+		return d.decodeWorksheet(idx, doc)
+	case objDataset:
+		if idx < 2 {
+			return d.valueInt64([...]*int64{&ds.ElementsIn, &ds.ElementsOut}[idx])
 		}
+		return d.valueFloat64(&ds.BytesPerElement)
+	case objComm:
+		return d.valueFloat64([...]*float64{&cm.IdealThroughputMBps, &cm.AlphaWrite, &cm.AlphaRead}[idx])
+	case objComp:
+		return d.valueFloat64([...]*float64{&cp.OpsPerElement, &cp.ThroughputProc, &cp.ClockMHz}[idx])
 	}
+	if idx == 0 {
+		return d.valueFloat64(&sw.TSoftSeconds)
+	}
+	return d.valueInt64(&sw.Iterations)
 }
 
-// objectOrNull consumes a sub-object opener. null is a no-op (the
-// enclosing fields keep their current values, as encoding/json leaves
-// the destination untouched); anything but '{' is an error.
-func (d *jsonDecoder) objectOrNull(what string) (bool, error) {
+// open begins an object ('{') or array ('[') value, or consumes a
+// null in its place. It reports whether the value was null and
+// whether a member or element follows the opening byte.
+func (d *jsonDecoder) open(opening byte) (null, more bool, err error) {
+	c, err := d.begin()
+	if err != nil || c == 'n' {
+		return c == 'n', false, err
+	}
+	if c != opening {
+		return false, false, fmt.Errorf("invalid character %q looking for %q or null", c, opening)
+	}
+	d.pos++
+	d.skipSpace()
+	if d.pos < len(d.data) && d.data[d.pos] == opening+2 { // '}' or ']'
+		d.pos++
+		return false, false, nil
+	}
+	return false, true, nil
+}
+
+// next steps past the member or element just parsed in the container
+// open began: it consumes a ',' and reports true, or the closing byte
+// and reports false.
+func (d *jsonDecoder) next(opening byte) (bool, error) {
+	d.skipSpace()
 	c, err := d.peek()
 	if err != nil {
 		return false, err
 	}
-	if c == 'n' {
-		return false, d.literalNull()
-	}
-	if c != '{' {
-		return false, fmt.Errorf("%s must be a JSON object (invalid character %q)", what, c)
-	}
 	d.pos++
-	return true, nil
+	switch c {
+	case ',':
+		return true, nil
+	case opening + 2: // '}' or ']'
+		return false, nil
+	}
+	return false, fmt.Errorf("invalid character %q after an element of the %q value", c, opening)
 }
 
-// nextField advances to the next `"key":` of the current object (first
-// marks the position just after '{'), consuming the separator and the
-// whitespace before the member value. It returns the matched field
-// index, or more=false once the closing brace is consumed. Unknown
-// keys are an error — the DisallowUnknownFields contract.
-func (d *jsonDecoder) nextField(names [][]byte, first bool) (idx int, more bool, err error) {
+// key parses a member's `"key":` and returns the key's index in keys.
+// An unknown key is an error: the DisallowUnknownFields contract.
+func (d *jsonDecoder) key(keys [][]byte) (int, error) {
 	d.skipSpace()
 	c, err := d.peek()
 	if err != nil {
-		return 0, false, err
-	}
-	if c == '}' {
-		d.pos++
-		return 0, false, nil
-	}
-	if !first {
-		if c != ',' {
-			return 0, false, fmt.Errorf("invalid character %q after object member", c)
-		}
-		d.pos++
-		d.skipSpace()
-		c, err = d.peek()
-		if err != nil {
-			return 0, false, err
-		}
+		return -1, err
 	}
 	if c != '"' {
-		return 0, false, fmt.Errorf("invalid character %q looking for an object key", c)
+		return -1, fmt.Errorf("invalid character %q looking for an object key", c)
 	}
-	key, err := d.readKey()
+	key, clean, err := d.scanString()
 	if err != nil {
-		return 0, false, err
+		return -1, err
 	}
-	idx = matchField(key, names)
+	if !clean { // an escaped key can still name a field, e.g. "\u006eame"
+		var buf [64]byte
+		key = unquoteAppend(buf[:0], key)
+	}
+	idx := matchField(key, keys)
 	if idx < 0 {
-		return 0, false, fmt.Errorf("unknown field %q", key)
+		return -1, fmt.Errorf("unknown field %q", string(key))
 	}
 	d.skipSpace()
-	c, err = d.peek()
-	if err != nil {
-		return 0, false, err
+	if c, err = d.peek(); err != nil {
+		return -1, err
 	}
 	if c != ':' {
-		return 0, false, fmt.Errorf("invalid character %q after object key", c)
+		return -1, fmt.Errorf("invalid character %q after object key", c)
 	}
 	d.pos++
-	d.skipSpace()
-	return idx, true, nil
+	return idx, nil
 }
 
-// valueInt64 parses a number-or-null member value into an int64 with
-// encoding/json's integer rules: strict JSON number grammar, no
-// fraction or exponent, and int64 range enforced by ParseInt.
-func (d *jsonDecoder) valueInt64(dst *int64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
+// begin skips whitespace and returns the first byte of the next value.
+// A null is consumed whole and reported as c == 'n', which the scalar
+// readers take, as encoding/json does, to leave the destination as it
+// was.
+func (d *jsonDecoder) begin() (c byte, err error) {
+	d.skipSpace()
+	if c, err = d.peek(); err == nil && c == 'n' {
+		err = d.literal("null")
 	}
-	if c == 'n' {
-		return d.literalNull()
+	return c, err
+}
+
+func (d *jsonDecoder) valueInt64(dst *int64) error {
+	return valueInteger(d, dst, 1<<63, math.MaxInt64)
+}
+
+func (d *jsonDecoder) valueInt(dst *int) error {
+	return valueInteger(d, dst, math.MaxInt+1, math.MaxInt)
+}
+
+func (d *jsonDecoder) valueUint64(dst *uint64) error {
+	return valueInteger(d, dst, 0, math.MaxUint64)
+}
+
+// valueInteger parses a number-or-null member value into an integer
+// field with encoding/json's rules: no fraction or exponent, and the
+// value in [-lo, hi], where lo 0 marks an unsigned field, which also
+// refuses -0. A token of up to 19 digits is scanNumber's mantissa; a
+// longer one goes to strconv.ParseUint, whose range error rejects it
+// as json's does.
+func valueInteger[T int | int64 | uint64](d *jsonDecoder, dst *T, lo, hi uint64) error {
+	c, err := d.begin()
+	if err != nil || c == 'n' {
+		return err
 	}
 	n, err := d.scanNumber()
 	if err != nil {
 		return err
 	}
-	if !n.isInt {
+	u, limit := n.mant, hi
+	if n.isInt && !n.exact {
+		u, err = strconv.ParseUint(strings.TrimPrefix(bstr(n.raw), "-"), 10, 64)
+	}
+	if n.neg {
+		limit = lo
+	}
+	if !n.isInt || err != nil || u > limit || n.neg && lo == 0 {
 		return fmt.Errorf("cannot unmarshal number %s into an integer field", n.raw)
 	}
-	v, err := strconv.ParseInt(bstr(n.raw), 10, 64)
-	if err != nil {
-		return fmt.Errorf("cannot unmarshal number %s into an integer field: %w", n.raw, err)
+	if n.neg {
+		u = -u
 	}
-	*dst = v
+	*dst = T(u)
 	return nil
 }
 
@@ -451,54 +340,61 @@ func (d *jsonDecoder) valueInt64(dst *int64) error {
 // exact fast path cannot take go to ParseFloat, whose range errors
 // (1e309) reject the document exactly as encoding/json does.
 func (d *jsonDecoder) valueFloat64(dst *float64) error {
-	c, err := d.peek()
-	if err != nil {
+	c, err := d.begin()
+	if err != nil || c == 'n' {
 		return err
-	}
-	if c == 'n' {
-		return d.literalNull()
 	}
 	n, err := d.scanNumber()
 	if err != nil {
 		return err
 	}
-	if v, ok := n.exactFloat64(); ok {
-		*dst = v
-		return nil
-	}
-	v, err := strconv.ParseFloat(bstr(n.raw), 64)
-	if err != nil {
-		return fmt.Errorf("cannot unmarshal number %s into a float64 field: %w", n.raw, err)
+	v, ok := n.exactFloat64()
+	if !ok {
+		if v, err = strconv.ParseFloat(bstr(n.raw), 64); err != nil {
+			return fmt.Errorf("cannot unmarshal number %s into a float64 field: %w", n.raw, err)
+		}
 	}
 	*dst = v
 	return nil
 }
 
-// valueName parses the string-or-null name member. Clean strings (no
-// escapes, valid UTF-8) intern straight from the body; escaped or
-// invalid-UTF-8 names take the cold unquote path with encoding/json's
-// replacement-character semantics.
-func (d *jsonDecoder) valueName(dst *string) error {
-	c, err := d.peek()
-	if err != nil {
+// valueBool parses a true, false or null member value.
+func (d *jsonDecoder) valueBool(dst *bool) error {
+	c, err := d.begin()
+	if err != nil || c == 'n' {
 		return err
 	}
-	if c == 'n' {
-		return d.literalNull()
+	lit := "false"
+	if c == 't' {
+		lit = "true"
+	} else if c != 'f' {
+		return fmt.Errorf("invalid character %q looking for true or false", c)
+	}
+	if err := d.literal(lit); err != nil {
+		return err
+	}
+	*dst = c == 't'
+	return nil
+}
+
+// valueString parses a string-or-null member value. A clean string (no
+// escapes, valid UTF-8) converts straight from the body, through the
+// interner when there is one; any other is unquoted first, with
+// encoding/json's replacement-character semantics.
+func (d *jsonDecoder) valueString(dst *string) error {
+	c, err := d.begin()
+	if err != nil || c == 'n' {
+		return err
 	}
 	if c != '"' {
-		return fmt.Errorf("the name field wants a string (invalid character %q)", c)
+		return fmt.Errorf("invalid character %q looking for a string", c)
 	}
 	raw, clean, err := d.scanString()
 	if err != nil {
 		return err
 	}
 	if !clean {
-		unq, err := unquoteAppend(make([]byte, 0, len(raw)), raw)
-		if err != nil {
-			return err
-		}
-		raw = unq
+		raw = unquoteAppend(make([]byte, 0, len(raw)), raw)
 	}
 	if d.intern != nil {
 		*dst = d.intern(raw)
@@ -506,21 +402,6 @@ func (d *jsonDecoder) valueName(dst *string) error {
 		*dst = string(raw)
 	}
 	return nil
-}
-
-// readKey scans an object key, returning its decoded bytes. Clean keys
-// are returned as a view of the body; escaped keys are unquoted (they
-// can still fold-match a field name, e.g. "name").
-func (d *jsonDecoder) readKey() ([]byte, error) {
-	raw, clean, err := d.scanString()
-	if err != nil {
-		return nil, err
-	}
-	if clean {
-		return raw, nil
-	}
-	var buf [64]byte
-	return unquoteAppend(buf[:0], raw)
 }
 
 // scanString validates one string literal per the JSON grammar
@@ -535,31 +416,17 @@ func (d *jsonDecoder) scanString() (raw []byte, clean bool, err error) {
 	for d.pos < len(d.data) {
 		switch c := d.data[d.pos]; {
 		case c == '"':
-			raw = d.data[start:d.pos]
 			d.pos++
-			return raw, clean, nil
+			return d.data[start : d.pos-1], clean, nil
 		case c == '\\':
 			clean = false
-			d.pos++
-			if d.pos >= len(d.data) {
-				return nil, false, errUnexpectedEnd
-			}
-			switch d.data[d.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.pos++
-			case 'u':
-				d.pos++
-				if d.pos+4 > len(d.data) {
-					return nil, false, errUnexpectedEnd
-				}
-				for i := 0; i < 4; i++ {
-					if !isHexDigit(d.data[d.pos]) {
-						return nil, false, fmt.Errorf("invalid character %q in \\u hexadecimal character escape", d.data[d.pos])
-					}
-					d.pos++
-				}
+			switch rest := d.data[d.pos:]; {
+			case len(rest) > 1 && strings.IndexByte(`"\/bfnrt`, rest[1]) >= 0:
+				d.pos += 2
+			case getu4(rest) >= 0:
+				d.pos += 6
 			default:
-				return nil, false, fmt.Errorf("invalid character %q in string escape code", d.data[d.pos])
+				return nil, false, fmt.Errorf("invalid escape in string literal at offset %d", d.pos)
 			}
 		case c < 0x20:
 			return nil, false, fmt.Errorf("invalid character %q in string literal", c)
@@ -576,63 +443,31 @@ func (d *jsonDecoder) scanString() (raw []byte, clean bool, err error) {
 	return nil, false, errUnexpectedEnd
 }
 
-// unquoteAppend appends the decoded form of raw string content s (the
-// bytes between the quotes, already syntax-checked by scanString) to
-// dst: escape sequences applied, invalid UTF-8 and unpaired surrogates
-// replaced with U+FFFD, surrogate pairs combined — bit-for-bit
-// encoding/json's unquote.
-func unquoteAppend(dst, s []byte) ([]byte, error) {
+// unquoteAppend appends the decoded form of raw string content s, as
+// scanString accepted it, to dst: escape sequences applied, invalid
+// UTF-8 and unpaired surrogates replaced with U+FFFD, surrogate pairs
+// combined — bit-for-bit encoding/json's unquote.
+func unquoteAppend(dst, s []byte) []byte {
 	for r := 0; r < len(s); {
 		switch c := s[r]; {
+		case c == '\\' && s[r+1] == 'u':
+			rr := getu4(s[r:])
+			r += 6
+			if utf16.IsSurrogate(rr) {
+				// An unpaired surrogate decodes to U+FFFD and whatever
+				// follows it is decoded on its own.
+				if rr = utf16.DecodeRune(rr, getu4(s[r:])); rr != unicode.ReplacementChar {
+					r += 6
+				}
+			}
+			dst = utf8.AppendRune(dst, rr)
 		case c == '\\':
-			r++
-			if r >= len(s) {
-				return dst, errUnexpectedEnd
+			c = s[r+1]
+			if i := strings.IndexByte("bfnrt", c); i >= 0 {
+				c = "\b\f\n\r\t"[i]
 			}
-			switch s[r] {
-			case '"', '\\', '/':
-				dst = append(dst, s[r])
-				r++
-			case 'b':
-				dst = append(dst, '\b')
-				r++
-			case 'f':
-				dst = append(dst, '\f')
-				r++
-			case 'n':
-				dst = append(dst, '\n')
-				r++
-			case 'r':
-				dst = append(dst, '\r')
-				r++
-			case 't':
-				dst = append(dst, '\t')
-				r++
-			case 'u':
-				r--
-				rr := getu4(s[r:])
-				if rr < 0 {
-					return dst, fmt.Errorf("invalid \\u escape in string literal")
-				}
-				r += 6
-				if utf16.IsSurrogate(rr) {
-					rr1 := getu4(s[r:])
-					if dec := utf16.DecodeRune(rr, rr1); dec != unicode.ReplacementChar {
-						// A valid pair; consume both escapes.
-						r += 6
-						dst = utf8.AppendRune(dst, dec)
-						break
-					}
-					// An unpaired surrogate becomes U+FFFD; whatever
-					// follows is decoded on its own.
-					rr = unicode.ReplacementChar
-				}
-				dst = utf8.AppendRune(dst, rr)
-			default:
-				return dst, fmt.Errorf("invalid escape code \\%c in string literal", s[r])
-			}
-		case c == '"', c < ' ':
-			return dst, fmt.Errorf("invalid character %q in string literal", c)
+			dst = append(dst, c)
+			r += 2
 		case c < utf8.RuneSelf:
 			dst = append(dst, c)
 			r++
@@ -642,7 +477,7 @@ func unquoteAppend(dst, s []byte) ([]byte, error) {
 			r += size
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // getu4 decodes \uXXXX at the start of s, or -1 if s does not begin
@@ -651,21 +486,11 @@ func getu4(s []byte) rune {
 	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
 		return -1
 	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
+	r, err := strconv.ParseUint(bstr(s[2:6]), 16, 16)
+	if err != nil {
+		return -1
 	}
-	return r
+	return rune(r)
 }
 
 // number is one JSON number token as scanNumber read it. When exact
@@ -724,7 +549,7 @@ func (n *number) exactFloat64() (float64, bool) {
 
 // scanNumber validates one number token against the JSON grammar
 // ('-'? int frac? exp?) and, in the same pass, gathers its mantissa
-// and decimal exponent for the exact fast path.
+// and decimal exponent for the exact fast paths.
 func (d *jsonDecoder) scanNumber() (n number, err error) {
 	start := d.pos
 	n.isInt, n.exact = true, true
@@ -791,12 +616,12 @@ func (d *jsonDecoder) scanNumber() (n number, err error) {
 	return n, nil
 }
 
-// literalNull consumes the null literal.
-func (d *jsonDecoder) literalNull() error {
-	if len(d.data)-d.pos < 4 || string(d.data[d.pos:d.pos+4]) != "null" {
-		return fmt.Errorf("invalid literal at offset %d (expected null)", d.pos)
+// literal consumes the literal lit: null, true or false.
+func (d *jsonDecoder) literal(lit string) error {
+	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
+		return fmt.Errorf("invalid literal at offset %d (expected %s)", d.pos, lit)
 	}
-	d.pos += 4
+	d.pos += len(lit)
 	return nil
 }
 
@@ -819,7 +644,3 @@ func (d *jsonDecoder) skipSpace() {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func isHexDigit(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}

@@ -17,9 +17,9 @@ import (
 // and every JSONL line kind byte for byte as json.Marshal and
 // json.Encoder render their api structs (FuzzExploreEncodeParity).
 
-// exploreFields is api.ExploreRequest's field-name table, in struct
+// exploreKeys is api.ExploreRequest's member-name table, in struct
 // order.
-var exploreFields = [][]byte{
+var exploreKeys = [][]byte{
 	[]byte("worksheet"), []byte("clocks_mhz"), []byte("throughput_procs"), []byte("alphas"),
 	[]byte("block_sizes"), []byte("devices"), []byte("topology"), []byte("bufferings"),
 	[]byte("objective"), []byte("top_k"), []byte("min_speedup"), []byte("max_trc_seconds"),
@@ -39,17 +39,11 @@ var exploreFields = [][]byte{
 func DecodeExploreRequest(data []byte) (api.ExploreRequest, error) {
 	var req api.ExploreRequest
 	d := jsonDecoder{data: data}
-	d.skipSpace()
-	c, err := d.peek()
-	switch {
-	case err != nil:
-	case c == '{':
-		d.pos++
-		err = d.decodeExploreObject(&req)
-	case c == 'n':
-		err = d.literalNull()
-	default:
-		err = fmt.Errorf("explore body must be a JSON object (invalid character %q looking for beginning of value)", c)
+	_, more, err := d.open('{')
+	for more && err == nil {
+		if err = d.exploreMember(&req); err == nil {
+			more, err = d.next('{')
+		}
 	}
 	if err != nil {
 		return api.ExploreRequest{}, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
@@ -57,59 +51,48 @@ func DecodeExploreRequest(data []byte) (api.ExploreRequest, error) {
 	return req, nil
 }
 
-// decodeExploreObject parses the request object; the opening brace is
-// already consumed.
-func (d *jsonDecoder) decodeExploreObject(req *api.ExploreRequest) error {
-	first := true
-	for {
-		idx, more, err := d.nextField(exploreFields, first)
-		if err != nil || !more {
-			return err
-		}
-		first = false
-		switch idx {
-		case 0:
-			var open bool
-			if open, err = d.objectOrNull("worksheet"); err == nil && open {
-				err = d.decodeWorksheetObject(&req.Worksheet)
-			}
-		case 1:
-			err = decodeArray(d, &req.ClocksMHz, d.valueFloat64)
-		case 2:
-			err = decodeArray(d, &req.ThroughputProcs, d.valueFloat64)
-		case 3:
-			err = decodeArray(d, &req.Alphas, d.valueFloat64)
-		case 4:
-			err = decodeArray(d, &req.BlockSizes, d.valueInt64)
-		case 5:
-			err = decodeArray(d, &req.Devices, d.valueInt)
-		case 6:
-			err = d.valueString(&req.Topology)
-		case 7:
-			err = decodeArray(d, &req.Bufferings, d.valueString)
-		case 8:
-			err = d.valueString(&req.Objective)
-		case 9:
-			err = d.valueInt(&req.TopK)
-		case 10:
-			err = d.valueFloat64(&req.MinSpeedup)
-		case 11:
-			err = d.valueFloat64(&req.MaxTRCSeconds)
-		case 12:
-			err = d.valueFloat64(&req.MaxUtilComm)
-		case 13:
-			err = d.valueInt(&req.MaxDevices)
-		case 14:
-			err = d.valueBool(&req.Frontier)
-		case 15:
-			err = d.valueUint64(&req.IndexLo)
-		default:
-			err = d.valueUint64(&req.IndexHi)
-		}
-		if err != nil {
-			return err
-		}
+// exploreMember parses one member of the request object, key and
+// value, into req.
+func (d *jsonDecoder) exploreMember(req *api.ExploreRequest) error {
+	idx, err := d.key(exploreKeys)
+	if err != nil {
+		return err
 	}
+	switch idx {
+	case 0:
+		return d.decodeWorksheet(objWorksheet, &req.Worksheet)
+	case 1:
+		return decodeArray(d, &req.ClocksMHz, d.valueFloat64)
+	case 2:
+		return decodeArray(d, &req.ThroughputProcs, d.valueFloat64)
+	case 3:
+		return decodeArray(d, &req.Alphas, d.valueFloat64)
+	case 4:
+		return decodeArray(d, &req.BlockSizes, d.valueInt64)
+	case 5:
+		return decodeArray(d, &req.Devices, d.valueInt)
+	case 6:
+		return d.valueString(&req.Topology)
+	case 7:
+		return decodeArray(d, &req.Bufferings, d.valueString)
+	case 8:
+		return d.valueString(&req.Objective)
+	case 9:
+		return d.valueInt(&req.TopK)
+	case 10:
+		return d.valueFloat64(&req.MinSpeedup)
+	case 11:
+		return d.valueFloat64(&req.MaxTRCSeconds)
+	case 12:
+		return d.valueFloat64(&req.MaxUtilComm)
+	case 13:
+		return d.valueInt(&req.MaxDevices)
+	case 14:
+		return d.valueBool(&req.Frontier)
+	case 15:
+		return d.valueUint64(&req.IndexLo)
+	}
+	return d.valueUint64(&req.IndexHi)
 }
 
 // decodeArray parses an array-or-null member value into *dst the way
@@ -119,157 +102,36 @@ func (d *jsonDecoder) decodeExploreObject(req *api.ExploreRequest) error {
 // a repeated key left there), the slice is cut to the elements read,
 // and [] leaves an empty, non-nil slice.
 func decodeArray[T any](d *jsonDecoder, dst *[]T, value func(*T) error) error {
-	c, err := d.peek()
-	if err != nil {
+	null, more, err := d.open('[')
+	if err != nil || null {
+		*dst = nil
 		return err
 	}
-	if c == 'n' {
-		if err := d.literalNull(); err != nil {
+	s, i := *dst, 0
+	for more {
+		switch {
+		case cap(s) == 0:
+			// Values do not depend on capacity: every element past
+			// those written so far is zero either way.
+			s = make([]T, 1, 16)
+		case i >= cap(s):
+			var zero T
+			s = append(s, zero)
+		case i >= len(s):
+			s = s[:i+1]
+		}
+		if err := value(&s[i]); err != nil {
 			return err
 		}
-		*dst = nil
-		return nil
-	}
-	if c != '[' {
-		return fmt.Errorf("array field wants a JSON array (invalid character %q)", c)
-	}
-	d.pos++
-	s := *dst
-	i := 0
-	d.skipSpace()
-	if c, err = d.peek(); err != nil {
-		return err
-	}
-	if c == ']' {
-		d.pos++
-	} else {
-		for {
-			switch {
-			case cap(s) == 0:
-				// Values do not depend on capacity: every element
-				// past those written so far is zero either way.
-				s = make([]T, 1, 16)
-			case i >= cap(s):
-				var zero T
-				s = append(s, zero)
-			case i >= len(s):
-				s = s[:i+1]
-			}
-			if err := value(&s[i]); err != nil {
-				return err
-			}
-			i++
-			d.skipSpace()
-			if c, err = d.peek(); err != nil {
-				return err
-			}
-			if c == ']' {
-				d.pos++
-				break
-			}
-			if c != ',' {
-				return fmt.Errorf("invalid character %q after array element", c)
-			}
-			d.pos++
-			d.skipSpace()
+		i++
+		if more, err = d.next('['); err != nil {
+			return err
 		}
 	}
 	if i == 0 {
 		s = []T{}
 	}
 	*dst = s[:i]
-	return nil
-}
-
-// valueInt parses a number-or-null member value into an int with
-// encoding/json's integer rules.
-func (d *jsonDecoder) valueInt(dst *int) error {
-	v := int64(*dst)
-	if err := d.valueInt64(&v); err != nil {
-		return err
-	}
-	if int64(int(v)) != v {
-		return fmt.Errorf("cannot unmarshal number %d into an int field", v)
-	}
-	*dst = int(v)
-	return nil
-}
-
-// valueUint64 parses a number-or-null member value into a uint64 with
-// encoding/json's rules: no sign, fraction or exponent, and uint64
-// range enforced by ParseUint.
-func (d *jsonDecoder) valueUint64(dst *uint64) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.literalNull()
-	}
-	n, err := d.scanNumber()
-	if err != nil {
-		return err
-	}
-	if !n.isInt {
-		return fmt.Errorf("cannot unmarshal number %s into an unsigned integer field", n.raw)
-	}
-	v, err := strconv.ParseUint(bstr(n.raw), 10, 64)
-	if err != nil {
-		return fmt.Errorf("cannot unmarshal number %s into an unsigned integer field: %w", n.raw, err)
-	}
-	*dst = v
-	return nil
-}
-
-// valueBool parses a true, false or null member value; null leaves
-// dst unchanged.
-func (d *jsonDecoder) valueBool(dst *bool) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	var lit string
-	switch c {
-	case 'n':
-		return d.literalNull()
-	case 't':
-		lit = "true"
-	case 'f':
-		lit = "false"
-	default:
-		return fmt.Errorf("boolean field wants true or false (invalid character %q)", c)
-	}
-	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
-		return fmt.Errorf("invalid literal at offset %d (expected %s)", d.pos, lit)
-	}
-	d.pos += len(lit)
-	*dst = c == 't'
-	return nil
-}
-
-// valueString parses a string-or-null member value with
-// encoding/json's unquoting; null leaves dst unchanged.
-func (d *jsonDecoder) valueString(dst *string) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.literalNull()
-	}
-	if c != '"' {
-		return fmt.Errorf("string field wants a JSON string (invalid character %q)", c)
-	}
-	raw, clean, err := d.scanString()
-	if err != nil {
-		return err
-	}
-	if !clean {
-		if raw, err = unquoteAppend(make([]byte, 0, len(raw)), raw); err != nil {
-			return err
-		}
-	}
-	*dst = string(raw)
 	return nil
 }
 

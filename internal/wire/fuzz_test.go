@@ -58,6 +58,19 @@ func FuzzWireDecodeParity(f *testing.F) {
 	})
 }
 
+// FuzzWorksheetDocsParity is the differential oracle for the batch
+// decoder: DecodeWorksheetDocs against json.Decoder with
+// DisallowUnknownFields decoding into a []worksheet.Doc, comparing
+// accept/reject, the ErrSyntax class and every element's Params.
+func FuzzWorksheetDocsParity(f *testing.F) {
+	for _, body := range worksheetDocsBodies(f) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDocsParity(t, body)
+	})
+}
+
 // FuzzWireEncodeParity drives the response encoder with arbitrary
 // field values and requires byte equality with json.Marshal, including
 // agreement on refusing non-finite floats.

@@ -23,7 +23,7 @@ func caseStudies() []core.Parameters {
 
 // marshalWorksheetJSON renders p's worksheet document via
 // encoding/json, the reference the hand-rolled decoder must accept.
-func marshalWorksheetJSON(t *testing.T, p core.Parameters) []byte {
+func marshalWorksheetJSON(t testing.TB, p core.Parameters) []byte {
 	t.Helper()
 	b, err := json.Marshal(worksheet.DocFromParams(p))
 	if err != nil {
@@ -117,10 +117,13 @@ func TestDecodeParityAdversarial(t *testing.T) {
 	}
 }
 
-func TestDecodeWorksheetDocsParity(t *testing.T) {
+// worksheetDocsBodies are the batch decoder's edge cases: one and two
+// worksheets, whitespace, empty and null bodies, null and empty
+// elements, and malformed arrays and elements.
+func worksheetDocsBodies(t testing.TB) []string {
 	valid := string(marshalWorksheetJSON(t, paper.PDF1DParams()))
 	second := string(marshalWorksheetJSON(t, paper.MDParams()))
-	bodies := []string{
+	return []string{
 		`[` + valid + `]`,
 		`[` + valid + `,` + second + `]`,
 		` [ ` + valid + ` , ` + second + ` ] `,
@@ -130,29 +133,69 @@ func TestDecodeWorksheetDocsParity(t *testing.T) {
 		``, `[`, `[,]`, `[` + valid + `,]`, `[` + valid + ` ` + second + `]`,
 		`[1]`, `["x"]`, `[[]]`, `{}`, `[{"bogus":1}]`, `nullx`,
 	}
-	for _, body := range bodies {
-		var want []worksheet.Doc
-		dec := json.NewDecoder(strings.NewReader(body))
-		dec.DisallowUnknownFields()
-		wantErr := dec.Decode(&want)
-		got, gotErr := DecodeWorksheetDocs([]byte(body), nil, nil)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("accept/reject mismatch on %q:\n  encoding/json: %v\n  wire:          %v", body, wantErr, gotErr)
+}
+
+// checkDocsParity requires DecodeWorksheetDocs to accept and reject
+// body as json.Decoder with DisallowUnknownFields does decoding into a
+// []worksheet.Doc, to wrap ErrSyntax on every rejection, and on accept
+// to yield each element's Params.
+func checkDocsParity(t testing.TB, body []byte) {
+	t.Helper()
+	var want []worksheet.Doc
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	wantErr := dec.Decode(&want)
+	got, gotErr := DecodeWorksheetDocs(body, nil, nil)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("accept/reject mismatch on %q:\n  encoding/json: %v\n  wire:          %v", body, wantErr, gotErr)
+	}
+	if gotErr != nil {
+		if !errors.Is(gotErr, worksheet.ErrSyntax) {
+			t.Fatalf("batch decode error does not wrap ErrSyntax on %q: %v", body, gotErr)
 		}
-		if gotErr != nil {
-			if !errors.Is(gotErr, worksheet.ErrSyntax) {
-				t.Fatalf("batch decode error does not wrap ErrSyntax on %q: %v", body, gotErr)
-			}
-			continue
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("element count mismatch on %q: encoding/json %d, wire %d", body, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i].Params() {
+			t.Fatalf("element %d mismatch on %q:\n  encoding/json: %+v\n  wire:          %+v", i, body, want[i].Params(), got[i])
 		}
-		if len(got) != len(want) {
-			t.Fatalf("element count mismatch on %q: encoding/json %d, wire %d", body, len(want), len(got))
+	}
+}
+
+func TestDecodeWorksheetDocsParity(t *testing.T) {
+	for _, body := range worksheetDocsBodies(t) {
+		checkDocsParity(t, []byte(body))
+	}
+}
+
+// TestDecodeAllocs: a steady-state decode allocates nothing, both a
+// worksheet decoded with an interner and a batch decoded into a slice
+// with spare capacity.
+func TestDecodeAllocs(t *testing.T) {
+	body := marshalWorksheetJSON(t, paper.PDF1DParams())
+	intern := func([]byte) string { return "interned" }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeWorksheetIntern(body, intern); err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != want[i].Params() {
-				t.Fatalf("element %d mismatch on %q:\n  encoding/json: %+v\n  wire:          %+v", i, body, want[i].Params(), got[i])
-			}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeWorksheetIntern allocates %.1f times per call, want 0", allocs)
+	}
+
+	batch := []byte("[" + string(body) + "," + string(marshalWorksheetJSON(t, paper.MDParams())) + "]")
+	params := make([]core.Parameters, 0, 2)
+	allocs = testing.AllocsPerRun(100, func() {
+		var err error
+		if params, err = DecodeWorksheetDocs(batch, params[:0], intern); err != nil || len(params) != 2 {
+			t.Fatalf("decode: %d worksheets, %v", len(params), err)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeWorksheetDocs allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	rat "github.com/chrec/rat"
@@ -47,6 +48,27 @@ func TestFacadeExploreRejectsOverflow(t *testing.T) {
 	if !errors.Is(err, rat.ErrInvalidParameters) {
 		t.Fatalf("Explore = %+v, %v; want an error wrapping ErrInvalidParameters", res, err)
 	}
+}
+
+// TestFacadePredictRejectsOverflow: a worksheet whose fields all
+// validate but whose derived numbers overflow is refused by
+// rat.Predict, rat.PredictBatch and rat.PredictMulti as invalid
+// parameters naming TWrite, not answered with +Inf and NaN.
+func TestFacadePredictRejectsOverflow(t *testing.T) {
+	p := paper.PDF1DParams()
+	p.Dataset.BytesPerElement = 1e300
+	p.Dataset.ElementsIn = 1 << 40
+	check := func(call string, err error) {
+		t.Helper()
+		if !errors.Is(err, rat.ErrInvalidParameters) || !strings.Contains(err.Error(), "TWrite") {
+			t.Errorf("%s err = %v; want an error wrapping ErrInvalidParameters that names TWrite", call, err)
+		}
+	}
+	_, err := rat.Predict(p)
+	check("Predict", err)
+	check("PredictBatch", rat.PredictBatch([]rat.Parameters{p}, make([]rat.Prediction, 1)))
+	_, err = rat.PredictMulti(p, rat.MultiConfig{Devices: 2, Topology: rat.SharedChannel})
+	check("PredictMulti", err)
 }
 
 // TestFacadeCaseStudies: the three published worksheets load through
