@@ -130,8 +130,8 @@ tenant-smoke:
 	curl -fs -H 'Accept: text/plain; version=0.0.4' http://$(TENANT_SMOKE_ADDR)/metrics > $$tmp/metrics; \
 	grep -q 'rat_tenant_rejections_total{reason="quota",tenant="hostile"}' $$tmp/metrics \
 	  || { echo "tenant-smoke: /metrics lacks the per-tenant rejection counter"; exit 1; }; \
-	grep -q 'rat_brownout_level' $$tmp/metrics \
-	  || { echo "tenant-smoke: /metrics lacks rat_brownout_level"; exit 1; }; \
+	grep -q 'rat_tenant_requests_total{tenant="compliant"}' $$tmp/metrics \
+	  || { echo "tenant-smoke: /metrics lacks the per-tenant request counter"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
 	echo "tenant-smoke: OK"
 

@@ -42,9 +42,9 @@ func cmdStatus(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%s: DOWN (%v)\n", u, err)
 			continue
 		}
-		fmt.Fprintf(out, "%s: up %s, %d requests, brownout %d, draining %v\n",
+		fmt.Fprintf(out, "%s: up %s, %d requests, draining %v\n",
 			u, (time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second),
-			st.Requests, st.BrownoutLevel, st.Draining)
+			st.Requests, st.Draining)
 	}
 	if down > 0 {
 		return fmt.Errorf("%d of %d workers down", down, len(urls))

@@ -434,10 +434,6 @@ type Status struct {
 	QPS           float64 `json:"qps"`
 	Draining      bool    `json:"draining"`
 
-	// BrownoutLevel is the server's degradation level: 0 healthy,
-	// 1-3 progressively shedding bulk features (see docs/TENANCY.md).
-	BrownoutLevel int `json:"brownout_level"`
-
 	Endpoints map[string]EndpointStatus `json:"endpoints"`
 	Cache     CacheStatus               `json:"cache"`
 	Stages    map[string]StageStatus    `json:"stages"`

@@ -98,14 +98,14 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		ExploreResponse: api.ExploreResponseFromCore(res, req.Explore.Frontier),
 		Cluster:         stats.API(),
 	}
-	out, err := jsonMarshal(resp)
+	out, err := json.Marshal(resp)
 	clk.stop(obs.StageEncode)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	clk.setHeader(w, r)
-	writeJSONBytes(w, out)
+	writeBody(w, out, false)
 }
 
 // newCoordinator builds the per-request cluster coordinator: one

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,12 +19,6 @@ import (
 	"github.com/chrec/rat/internal/wire"
 	"github.com/chrec/rat/internal/worksheet"
 )
-
-// jsonMarshal is encoding/json.Marshal, named so the remaining
-// cold-path wire-writing sites (errors, status, distributed explore)
-// read uniformly. The predict and explore paths use internal/wire
-// instead.
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
 
 // httpStatus maps a request-shaped error to its status code: anything
 // wrapping the invalid-parameters or worksheet-syntax sentinels is the
@@ -276,7 +269,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if s.cache != nil && s.cacheFillAllowed() {
+	if s.cache != nil {
 		s.cache.put(sc.key, sc.out)
 	}
 	clk.setHeader(w, r)
@@ -334,7 +327,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if sw, ok := w.(*statusWriter); ok && sw.member != nil && len(sl.ps) > 1 {
 		if ok, retry := sw.member.Bucket().Take(time.Now(), float64(len(sl.ps)-1)); !ok {
 			sw.tstat.rejectQuota.Inc()
-			sw.quotaShed = true
 			writeQuotaExceeded(w, sw.member.Name, retry)
 			return
 		}
@@ -478,13 +470,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	// The ceiling is the configured one stepped down by the brownout
-	// level: under sustained overload bulk explorations shrink before
-	// the interactive path is ever touched.
-	if ceiling := s.exploreCeiling(); job.span > ceiling {
+	if job.span > s.cfg.MaxExploreCandidates {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request asks for %d candidates; this server currently caps explorations at %d",
-				job.span, ceiling))
+			fmt.Errorf("request asks for %d candidates; this server caps explorations at %d",
+				job.span, s.cfg.MaxExploreCandidates))
 		return
 	}
 	var stream, wantSpans bool
@@ -520,7 +509,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	clk.setHeader(w, r)
-	writeJSONBytes(w, sc.out)
+	writeBody(w, sc.out, false)
 }
 
 // handleHealthz reports liveness: the process is up and serving.
@@ -599,6 +588,3 @@ var (
 	contentTypeJSONValue   = []string{"application/json"}
 	contentTypeBinaryValue = []string{wire.ContentTypeBinary}
 )
-
-// writeJSONBytes answers 200 with a pre-marshalled JSON body.
-func writeJSONBytes(w http.ResponseWriter, body []byte) { writeBody(w, body, false) }

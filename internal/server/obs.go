@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -174,7 +175,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: uptime,
 		Requests:      s.requests.Value(),
 		Draining:      s.draining.Load(),
-		BrownoutLevel: int(s.brownout.Level()),
 		Endpoints:     make(map[string]api.EndpointStatus, int(numEndpoints)),
 		Stages:        make(map[string]api.StageStatus, int(obs.NumStages)),
 	}
@@ -237,12 +237,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			P99Us: hs.Quantile(0.99) * 1e6,
 		}
 	}
-	out, err := jsonMarshal(st)
+	out, err := json.Marshal(st)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSONBytes(w, out)
+	writeBody(w, out, false)
 }
 
 // wantsProm reports whether the client asked for Prometheus text

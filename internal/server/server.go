@@ -13,6 +13,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net"
@@ -134,8 +135,7 @@ type Server struct {
 	admBatch   *admission
 	admExplore *admission
 
-	tenancy  *tenancy
-	brownout *brownout
+	tenancy *tenancy
 
 	handler  http.Handler
 	hs       *http.Server
@@ -167,10 +167,6 @@ func New(cfg Config) *Server {
 	if cfg.Tenants != nil {
 		s.tenancy = newTenancy(reg, cfg.Tenants, cfg.ExploreTokenCost)
 	}
-	// The brownout controller degrades bulk features under sustained
-	// overload; the explore ceiling and cache-fill effects are read per
-	// request from its level.
-	s.brownout = newBrownout(reg)
 	mux := http.NewServeMux()
 	// handlePredict is registered bare: its kernel runs in microseconds
 	// and the one wait a deadline could cut short, admission, is
@@ -238,10 +234,6 @@ type statusWriter struct {
 	// records per-tenant latency through them (on the panic path too).
 	member *tenant.Member
 	tstat  *tenantStat
-	// quotaShed marks a 429 as a per-tenant quota or concurrency
-	// refusal. The brownout controller ignores those: one hostile
-	// tenant being limited is isolation working, not server overload.
-	quotaShed bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -260,13 +252,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards streaming flushes (the JSONL explore path).
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // swPool recycles statusWriters; the reset in middleware clears every
 // field, so a pooled writer carries nothing across requests.
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -274,7 +259,6 @@ var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 // middleware wraps the mux with panic recovery, request metrics, trace
 // ingress/echo and structured access logging.
 func (s *Server) middleware(next http.Handler) http.Handler {
-	latency := s.reg.Timer("server.latency")
 	logging := s.cfg.AccessLogger != nil
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
@@ -309,7 +293,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				debug.PrintStack()
 			}
 			elapsed := time.Since(start)
-			latency.Observe(elapsed)
 			status := sw.status
 			if status == 0 {
 				status = http.StatusOK
@@ -318,12 +301,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			s.red.inflight.Add(-1)
 			if sw.member != nil {
 				s.tenancy.finish(sw, elapsed)
-			}
-			if ep < epMeta {
-				// Feed the brownout controller: overload sheds are
-				// capacity 429s, not tenant-quota ones.
-				s.brownout.observe(start.Add(elapsed),
-					status == http.StatusTooManyRequests && !sw.quotaShed)
 			}
 			if logging {
 				s.cfg.AccessLogger.LogAttrs(context.Background(), slog.LevelInfo, "request",
@@ -363,12 +340,12 @@ func (s *Server) withTimeout(d time.Duration, h http.HandlerFunc) http.HandlerFu
 func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	body, merr := jsonMarshal(api.Error{Error: err.Error()})
+	body, merr := json.Marshal(api.Error{Error: err.Error()})
 	if merr != nil {
 		body = []byte(`{"error":"internal error"}`)
 	}
 	w.Write(body)
-	w.Write([]byte("\n"))
+	w.Write(newline)
 }
 
 // writeTooBusy answers 429 with a Retry-After hint.

@@ -638,6 +638,90 @@ func TestAdmissionControlBurst(t *testing.T) {
 	}
 }
 
+// manyClocks returns n distinct clock values for grid-size tests.
+func manyClocks(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 100 + float64(i)
+	}
+	return out
+}
+
+// TestExploreOverloadKeepsCeiling pins that sustained capacity 429s
+// never change what the server admits: with the one explore slot
+// held, more than a second of explores are all refused 429, and once
+// the slot frees, an explore inside MaxExploreCandidates is answered
+// 200, never 413.
+func TestExploreOverloadKeepsCeiling(t *testing.T) {
+	srv := New(Config{ExploreLimit: 1, AdmissionWait: time.Millisecond, MaxExploreCandidates: 1000})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	exploreBody := func(candidates int) []byte {
+		body, err := json.Marshal(map[string]any{
+			"worksheet":  json.RawMessage(encodeWorksheet(t, paper.PDF1DParams())),
+			"clocks_mhz": manyClocks(candidates),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	postExplore := func(body io.Reader) (int, error) {
+		resp, err := http.Post(ts.URL+"/v1/explore", "application/json", body)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, nil
+	}
+
+	// The handler admits before it reads the body, so an unwritten
+	// pipe holds the explore slot.
+	pr, pw := io.Pipe()
+	defer pw.Close() // on a failure path, lets ts.Close finish the held request
+	held := make(chan int, 1)
+	go func() {
+		status, err := postExplore(pr)
+		if err != nil {
+			t.Error(err)
+		}
+		held <- status
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Metrics().Snapshot().Counters["server.admitted.explore"] < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held explore was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	small := exploreBody(10)
+	var refused int
+	for end := time.Now().Add(1100 * time.Millisecond); time.Now().Before(end); refused++ {
+		status, err := postExplore(bytes.NewReader(small))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusTooManyRequests {
+			t.Fatalf("explore %d with the only slot held: status %d, want 429", refused, status)
+		}
+	}
+
+	pw.Write(small)
+	pw.Close()
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held explore: status %d, want 200", status)
+	}
+	status, err := postExplore(bytes.NewReader(exploreBody(300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK {
+		t.Errorf("300-candidate explore (ceiling 1000) after %d refusals: status %d, want 200", refused, status)
+	}
+}
+
 // TestHealthReadyMetrics covers the operational endpoints.
 func TestHealthReadyMetrics(t *testing.T) {
 	srv := New(Config{})
@@ -664,7 +748,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 	postPredict(t, ts, paper.PDF1DParams(), "")
 	if st, body := get("/metrics"); st != http.StatusOK ||
 		!strings.Contains(body, "server.requests") ||
-		!strings.Contains(body, "server.latency") {
+		!strings.Contains(body, "rat_request_seconds") {
 		t.Errorf("/metrics = %d:\n%s", st, body)
 	}
 

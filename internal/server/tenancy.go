@@ -134,13 +134,11 @@ func (t *tenancy) admit(sw *statusWriter, r *http.Request, ep endpointClass, now
 	st := t.stat(member.Name)
 	if ok, retry := member.Bucket().Take(now, t.tokenCost(ep)); !ok {
 		st.rejectQuota.Inc()
-		sw.quotaShed = true
 		writeQuotaExceeded(sw, member.Name, retry)
 		return false
 	}
 	if !member.AcquireSlot() {
 		st.rejectConc.Inc()
-		sw.quotaShed = true
 		sw.Header().Set("Retry-After", "1")
 		writeError(sw, http.StatusTooManyRequests,
 			fmt.Errorf("tenant %q is at its max_inflight concurrency cap", member.Name))

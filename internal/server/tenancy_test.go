@@ -382,10 +382,9 @@ func TestPanicReleasesInflightAndTenantSlot(t *testing.T) {
 	member.ReleaseSlot()
 }
 
-// TestStatusReportsTenantsAndBrownout pins the /v1/status extensions:
-// brownout_level is always present; the tenants section appears on a
-// tenanted server with per-tenant counts.
-func TestStatusReportsTenantsAndBrownout(t *testing.T) {
+// TestStatusReportsTenants pins the /v1/status tenants section: it
+// appears on a tenanted server with per-tenant counts, and only there.
+func TestStatusReportsTenants(t *testing.T) {
 	srv := New(Config{
 		Tenants: testTenants(t, `{"tenants": [
 			{"name": "a", "key": "ka", "rate_per_sec": 1000},
@@ -407,9 +406,6 @@ func TestStatusReportsTenantsAndBrownout(t *testing.T) {
 	var st api.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
-	}
-	if st.BrownoutLevel != 0 {
-		t.Errorf("brownout_level on an idle server = %d, want 0", st.BrownoutLevel)
 	}
 	if len(st.Tenants) != 2 {
 		t.Fatalf("status tenants = %v, want entries for a and b", st.Tenants)
@@ -436,8 +432,8 @@ func TestStatusReportsTenantsAndBrownout(t *testing.T) {
 }
 
 // TestTenantMetricsValidProm pins that every tenant-labelled metric
-// and the brownout gauge survive the Prometheus exposition round
-// trip: bounded, well-formed label sets or nothing.
+// survives the Prometheus exposition round trip: bounded, well-formed
+// label sets or nothing.
 func TestTenantMetricsValidProm(t *testing.T) {
 	srv := New(Config{
 		Tenants: testTenants(t, `{"tenants": [{"name": "team-7", "key": "k", "rate_per_sec": 1, "burst": 1}]}`),
@@ -458,7 +454,6 @@ func TestTenantMetricsValidProm(t *testing.T) {
 		`rat_tenant_requests_total{tenant="team-7"}`,
 		`rat_tenant_rejections_total{reason="quota",tenant="team-7"}`,
 		`rat_tenant_rejections_total{reason="auth",tenant="unknown"}`,
-		`rat_brownout_level`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %s", want)
@@ -467,144 +462,6 @@ func TestTenantMetricsValidProm(t *testing.T) {
 	if err := telemetry.ValidateProm(out); err != nil {
 		t.Errorf("tenant exposition fails ValidateProm: %v", err)
 	}
-}
-
-// TestBrownoutControllerLadder drives the controller with a
-// fabricated clock through raise and lower transitions, pinning the
-// window/hysteresis arithmetic without a single sleep.
-func TestBrownoutControllerLadder(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b := newBrownout(reg)
-	now := time.Unix(1000, 0)
-
-	// Window 1: 10% shed — one step up.
-	for i := 0; i < 18; i++ {
-		b.observe(now, false)
-	}
-	b.observe(now, true)
-	b.observe(now.Add(time.Second), true) // rolls the window
-	if got := b.Level(); got != 1 {
-		t.Fatalf("level after a 10%% shed window = %d, want 1", got)
-	}
-
-	// Window 2: healthy but within the quiet period — level holds.
-	now = now.Add(time.Second)
-	b.observe(now, false)
-	b.observe(now.Add(time.Second), false)
-	if got := b.Level(); got != 1 {
-		t.Fatalf("level dropped during the quiet period: %d", got)
-	}
-
-	// Two more shed-heavy windows: climbs to 3 and saturates there.
-	for w := 0; w < 3; w++ {
-		now = now.Add(time.Second)
-		b.observe(now, true)
-		b.observe(now.Add(time.Second), true)
-	}
-	if got := b.Level(); got != 3 {
-		t.Fatalf("level after sustained shedding = %d, want 3 (saturated)", got)
-	}
-
-	// Quiet windows past the hysteresis: steps back down one per
-	// window, never below 0.
-	now = now.Add(time.Second)
-	for w := 0; w < 5; w++ {
-		now = now.Add(6 * time.Second) // beyond the 5s quiet period
-		b.observe(now, false)
-		b.observe(now.Add(time.Second), false)
-		now = now.Add(time.Second)
-	}
-	if got := b.Level(); got != 0 {
-		t.Fatalf("level after sustained quiet = %d, want 0", got)
-	}
-
-	snap := reg.Snapshot()
-	if got := snap.Gauges["rat_brownout_level"]; got != 0 {
-		t.Errorf("rat_brownout_level gauge = %v, want 0", got)
-	}
-	if raised := snap.Counters["rat_brownout_raised_total"]; raised != 3 {
-		t.Errorf("raised transitions = %d, want 3", raised)
-	}
-	if lowered := snap.Counters["rat_brownout_lowered_total"]; lowered != 3 {
-		t.Errorf("lowered transitions = %d, want 3", lowered)
-	}
-}
-
-// TestBrownoutDegradesBulkNotPredict pins the effects ladder end to
-// end: at level 3 the explore ceiling has stepped down /64, cache
-// fill is off — and the predict path still serves bit-identical
-// responses.
-func TestBrownoutDegradesBulkNotPredict(t *testing.T) {
-	// A huge brownout window so real request traffic in this test can
-	// never roll a window and disturb the forced level.
-	srv := New(Config{MaxExploreCandidates: 6400})
-	srv.brownout.window = time.Hour
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Force level 3 through the controller's own transition path.
-	for lvl := int32(0); lvl < maxBrownoutLevel; lvl++ {
-		srv.brownout.setLevel(lvl, lvl+1)
-	}
-	if got := srv.exploreCeiling(); got != 100 {
-		t.Fatalf("explore ceiling at level 3 = %d, want 6400/64 = 100", got)
-	}
-	if srv.cacheFillAllowed() {
-		t.Error("cache fill still allowed at level 3")
-	}
-
-	// An exploration over the degraded ceiling is refused 413...
-	exReq := map[string]any{
-		"worksheet":  json.RawMessage(encodeWorksheet(t, paper.PDF1DParams())),
-		"clocks_mhz": manyClocks(150),
-	}
-	body, err := json.Marshal(exReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("150-candidate explore at level 3 (ceiling 100): status %d, want 413", resp.StatusCode)
-	}
-
-	// ...while predict is untouched and still bit-for-bit.
-	p := paper.MDParams()
-	want, err := core.Predict(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, respBody := postPredict(t, ts, p, "")
-	if status != http.StatusOK {
-		t.Fatalf("predict at brownout level 3: status %d", status)
-	}
-	var wire api.Prediction
-	if err := json.Unmarshal(respBody, &wire); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Core() != want {
-		t.Error("predict response at brownout level 3 differs from core.Predict")
-	}
-
-	// Cache fill was disabled: the same request misses twice.
-	before := srv.Metrics().Snapshot().Counters["server.cache_misses"]
-	postPredict(t, ts, p, "")
-	after := srv.Metrics().Snapshot().Counters["server.cache_misses"]
-	if after != before+1 {
-		t.Errorf("cache misses went %d -> %d at level 3; fill should be disabled", before, after)
-	}
-}
-
-// manyClocks returns n distinct clock values for grid-size tests.
-func manyClocks(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 100 + float64(i)
-	}
-	return out
 }
 
 // TestRetryAfterSeconds pins the header arithmetic: ceil to whole
