@@ -36,7 +36,7 @@ bench:
 # BenchmarkServerPredict with no anchor matches the whole served-path
 # family: Uncached, CachedHit, Binary, Traced, Tenanted.
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkServerPredict' -benchmem -count=1 . ./internal/server \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkExploreFrontier|BenchmarkServerPredict' -benchmem -count=1 . ./internal/server \
 	  | $(GO) run ./cmd/benchcheck -emit BENCH_5.json -note "make bench-baseline"
 
 # Gate the current tree against the committed baseline: fails on a
@@ -45,7 +45,7 @@ bench-baseline:
 # wire and tenanted, so server overhead stays sub-2µs and the hit path
 # stays at zero allocations) or any allocs/op increase anywhere.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkServerPredict' -benchmem -benchtime 0.5s -count=1 . ./internal/server \
+	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkExploreFrontier|BenchmarkServerPredict' -benchmem -benchtime 0.5s -count=1 . ./internal/server \
 	  | $(GO) run ./cmd/benchcheck -compare BENCH_5.json -gate BenchmarkPredict,BenchmarkServerPredictCachedHit,BenchmarkServerPredictBinary,BenchmarkServerPredictTenanted
 
 # Closed-loop load test against a locally built ratd: start the

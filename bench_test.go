@@ -220,6 +220,45 @@ func benchExplore(b *testing.B, workers int) {
 func BenchmarkExplore1Worker(b *testing.B) { benchExplore(b, 1) }
 func BenchmarkExplore8Worker(b *testing.B) { benchExplore(b, 8) }
 
+// BenchmarkExploreFrontier times a frontier request on one worker, per
+// objective, over a grid of perfbench's explore-grid shape: 16 clocks
+// x 16 throughput_procs x 4 alphas x 4 block sizes x 4 device counts x
+// 2 bufferings = 32,768 candidates in rows of 256, top 10 above the
+// base design's speedup.
+func BenchmarkExploreFrontier(b *testing.B) {
+	g := rat.Grid{
+		Base:       paper.PDF1DParams(),
+		Alphas:     []float64{0.15, 0.3, 0.55, 0.9},
+		BlockSizes: []int64{128, 512, 1024, 4096},
+		Devices:    []int{1, 2, 4, 8},
+		Topology:   rat.SharedChannel,
+	}
+	for i := 0; i < 16; i++ {
+		g.Clocks = append(g.Clocks, rat.MHz(float64(60+15*i)))
+		g.ThroughputProcs = append(g.ThroughputProcs, 5+2.5*float64(i))
+	}
+	base, err := rat.Predict(g.Base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, obj := range []rat.ExploreObjective{rat.MaxSpeedup, rat.MinTRC, rat.MinCost} {
+		b.Run(obj.String(), func(b *testing.B) {
+			opts := rat.ExploreOptions{Workers: 1, TopK: 10, Objective: obj, Frontier: true,
+				Constraints: rat.ExploreConstraints{MinSpeedup: base.SpeedupSingle}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := rat.Explore(g, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Frontier) == 0 {
+					b.Fatal("empty frontier")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExploreShortRows times a frontier request on one worker
 // over a grid whose rows are too short for the row walk: 2 clocks x 2
 // throughput_procs per row, x 16 alphas x 16 block sizes x 16 device

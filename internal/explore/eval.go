@@ -1,6 +1,6 @@
 package explore
 
-import "sort"
+import "slices"
 
 // EvalIndices evaluates exactly the given candidate indices through
 // the same memoized arithmetic as Run and returns the candidates that
@@ -20,7 +20,7 @@ func EvalIndices(g Grid, cons Constraints, indices []uint64) ([]Candidate, error
 		return nil, err
 	}
 	sorted := append([]uint64(nil), indices...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	out := make([]Candidate, 0, len(sorted))
 	var prev uint64
 	seen := false
@@ -50,7 +50,7 @@ func EvalIndices(g Grid, cons Constraints, indices []uint64) ([]Candidate, error
 // in their own shard's best k.
 func SelectTop(obj Objective, k int, cands []Candidate) []Candidate {
 	out := append([]Candidate(nil), cands...)
-	sort.Slice(out, func(i, j int) bool { return obj.better(&out[i], &out[j]) })
+	slices.SortFunc(out, func(a, b Candidate) int { return order(obj.better(&a, &b)) })
 	if k >= 0 && len(out) > k {
 		out = out[:k]
 	}

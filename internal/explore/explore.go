@@ -1,11 +1,11 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,7 +344,7 @@ func (c *Compiled) Run(ctx context.Context, opts Options) (Result, error) {
 		for i := range states {
 			res.Spans = append(res.Spans, states[i].spans...)
 		}
-		sort.Slice(res.Spans, func(i, j int) bool { return res.Spans[i].Lo < res.Spans[j].Lo })
+		slices.SortFunc(res.Spans, func(a, b ShardSpan) int { return cmp.Compare(a.Lo, b.Lo) })
 	}
 
 	if secs := elapsed.Seconds(); secs > 0 {

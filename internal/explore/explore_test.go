@@ -407,8 +407,9 @@ func exploreGridShaped() explore.Grid {
 // TestExploreEvaluationsCounter: explore.evaluations counts the work a
 // run did, and explore.candidates the candidates it covered. One
 // worker does the same work every time, and a top-10 request on an
-// explore-grid-shaped grid evaluates under a tenth of what it covers
-// (under a fifth with the frontier).
+// explore-grid-shaped grid evaluates under a tenth of what it covers.
+// With the frontier it makes 2,682 evaluations; the limit sits about
+// 5% above that.
 func TestExploreEvaluationsCounter(t *testing.T) {
 	g := exploreGridShaped()
 	base := core.MustPredict(g.Base)
@@ -436,7 +437,7 @@ func TestExploreEvaluationsCounter(t *testing.T) {
 			// and the undominated ones evaluated in full.
 			limit := int64(32768 / 10)
 			if frontier {
-				limit = 32768 / 5
+				limit = 2816
 			}
 			if evals <= 0 || evals >= limit {
 				t.Errorf("frontier=%v: evaluated %d of 32768 covered, want under %d", frontier, evals, limit)

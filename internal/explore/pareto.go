@@ -1,6 +1,9 @@
 package explore
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Pareto-frontier extraction over the three-way trade-off the paper's
 // design-space discussion turns on: predicted speedup (up), computation
@@ -57,16 +60,20 @@ func insertFrontier(front []Candidate, c *Candidate) []Candidate {
 }
 
 // mergeFrontiers combines per-worker frontiers into the global one.
-// Each worker's front is non-dominated within its own candidates; one
-// more pass against the union removes cross-worker dominations. The
-// result is sorted by candidate index, which makes it independent of
-// worker count and shard order.
+// Each worker's front is non-dominated within its own candidates, so
+// worker 0's front is taken as it is and the others are folded into
+// it, which removes cross-worker dominations. The result is sorted by
+// candidate index, which makes it independent of worker count and
+// shard order.
 func mergeFrontiers(states []workerState) []Candidate {
-	var all []Candidate
-	for i := range states {
-		all = append(all, states[i].front...)
+	front := states[0].front
+	for i := 1; i < len(states); i++ {
+		for j := range states[i].front {
+			front = insertFrontier(front, &states[i].front[j])
+		}
 	}
-	return Frontier(all)
+	slices.SortFunc(front, byIndex)
+	return front
 }
 
 // Frontier returns the Pareto-optimal subset of cands on the
@@ -77,6 +84,9 @@ func Frontier(cands []Candidate) []Candidate {
 	for i := range cands {
 		front = insertFrontier(front, &cands[i])
 	}
-	sort.Slice(front, func(i, j int) bool { return front[i].Index < front[j].Index })
+	slices.SortFunc(front, byIndex)
 	return front
 }
+
+// byIndex orders candidates by grid index.
+func byIndex(a, b Candidate) int { return cmp.Compare(a.Index, b.Index) }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/chrec/rat/internal/core"
@@ -30,7 +31,9 @@ import (
 //   - the frontier a box search: a box of sorted positions is skipped
 //     when a frontier member dominates its ideal corner (its highest
 //     speedup, a proven upper bound of its util_comp, its device
-//     count), the BBS skyline idea (Papadias et al., SIGMOD 2003).
+//     count), the BBS skyline idea (Papadias et al., SIGMOD 2003). A
+//     leaf box that is not skipped offers the frontier only its own
+//     skyline, found by one sweep because speedup is monotone in d.
 //
 // util_comp is the one number that is not exactly monotone. Double-
 // buffered it is: 1 while compute-bound, then t_comp / t_comm. Single-
@@ -40,7 +43,8 @@ import (
 //
 // Every skipped candidate ranks below, or is dominated by, one the
 // worker kept; a worker's K-th and frontier only improve, so pruning
-// against them is safe; and no candidate is offered or inserted twice.
+// against them is safe, in any row order; and no candidate is offered
+// or inserted twice.
 // The Result is therefore byte-identical to evalShard's exhaustive
 // loop, which stays the path for short rows and for rows a shard or
 // index window cuts.
@@ -51,7 +55,8 @@ const (
 	// more evaluations than they save.
 	shortRow = 16
 	// leafSize is the width of the frontier search's second and last
-	// level of boxes, which are evaluated position by position.
+	// level of boxes, which are evaluated position by position. A
+	// leaf's skyline is a uint32 bit set, so it is at most 32.
 	leafSize = 16
 	// utilCompMargin is how many ulps a single-buffered box's util_comp
 	// bound sits above util_comp at the box's low end.
@@ -305,9 +310,10 @@ type rowPlan struct {
 }
 
 // walkRows explores the full rows [lo, hi), at most rowBatch of them:
-// it bounds every row, then walks them best-first by their best end,
-// so the worker's K-th and frontier are strong before the weaker rows
-// are reached.
+// it bounds every row, walks them for the top-K best-first by their
+// best end, then for the frontier fewest devices first, so the
+// worker's K-th and frontier are strong before the weaker rows are
+// reached.
 func (st *workerState) walkRows(p *plan, lo, hi uint64) {
 	n := int((hi - lo) / p.rowLen)
 	if cap(st.rows) < n {
@@ -328,15 +334,31 @@ func (st *workerState) walkRows(p *plan, lo, hi uint64) {
 		return order(obj.better(&rows[a].cand, &rows[b].cand))
 	})
 	for _, i := range live {
-		rp := &rows[i]
-		if p.obj == MinCost {
-			st.walkCost(p, rp)
+		if obj == MinCost {
+			st.walkCost(p, &rows[i])
 		} else {
-			st.walkTop(p, rp)
+			st.walkTop(p, &rows[i])
 		}
-		if p.frontier {
-			st.walkFront(p, rp)
+	}
+	if !p.frontier {
+		return
+	}
+	// The frontier's own best-first order: fewest devices, then the
+	// highest best-end speedup. A member dominates only candidates of
+	// as many devices or more, so early members cover the most boxes
+	// and few are evicted later.
+	slices.SortFunc(live, func(a, b int32) int {
+		ra, rb := &rows[a], &rows[b]
+		if ra.cand.Devices != rb.cand.Devices {
+			return order(ra.cand.Devices < rb.cand.Devices)
 		}
+		if ra.best.speedup != rb.best.speedup {
+			return order(ra.best.speedup > rb.best.speedup)
+		}
+		return order(ra.start < rb.start)
+	})
+	for _, i := range live {
+		st.walkFront(p, &rows[i])
 	}
 }
 
@@ -493,18 +515,60 @@ func (st *workerState) walkFront(p *plan, rp *rowPlan) {
 	}
 }
 
-// leaf evaluates positions [a, b) of byD into the frontier.
+// leaf evaluates positions [a, b) of byD and offers the frontier the
+// leaf's own skyline, highest d first.
 //
 //rat:hotpath
 func (st *workerState) leaf(p *plan, rp *rowPlan, a, b int) {
+	var pts [leafSize]point
+	n := b - a
+	for i := range n {
+		pts[i] = rp.at(p.byD[a+i].d)
+	}
+	st.evals += uint64(n)
 	cand := rp.cand
-	for j := a; j < b; j++ {
-		s := &p.byD[j]
-		pt := rp.at(s.d)
-		rp.set(&cand, s, &pt)
+	for keep := skyline(pts[:n]); keep != 0; {
+		i := bits.Len32(keep) - 1
+		keep &^= 1 << i
+		rp.set(&cand, &p.byD[a+i], &pts[i])
 		st.front = insertFrontier(st.front, &cand)
 	}
-	st.evals += uint64(b - a)
+}
+
+// skyline returns, as a set of bits over pts, the points that no other
+// point of pts dominates, given that they share one device count and
+// that speedup never falls along pts: a leaf's positions in d order.
+// A sweep from the last point down then meets speedups in
+// non-increasing order, equal ones side by side. A point survives when
+// its util_comp is the highest of its equal-speedup group and above
+// every util_comp swept before the group; all members of a tied vector
+// survive together. The sweep assumes nothing of util_comp's order.
+//
+// Only survivors need to reach the frontier: any other point is
+// dominated by one in the leaf, so by transitivity it can never be a
+// member, and whatever it would evict, a survivor evicts too.
+//
+//rat:hotpath
+func skyline(pts []point) (keep uint32) {
+	above := math.Inf(-1) // the highest util_comp at a higher speedup
+	for hi := len(pts); hi > 0; {
+		// The group [lo, hi) shares one speedup.
+		lo, peak := hi-1, pts[hi-1].utilComp
+		for lo > 0 && pts[lo-1].speedup == pts[hi-1].speedup {
+			lo--
+			peak = max(peak, pts[lo].utilComp)
+		}
+		if peak > above {
+			for i := lo; i < hi; i++ {
+				if pts[i].utilComp == peak {
+					keep |= 1 << i
+				}
+			}
+			above = peak
+		}
+		hi = lo
+	}
+	return keep
 }
 
 // covered reports whether a frontier member dominates the corner

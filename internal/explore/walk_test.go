@@ -403,3 +403,60 @@ func TestPlanOrderMatchesSort(t *testing.T) {
 	}
 	t.Logf("%d ties across clocks, %d within one clock", acrossTies, withinTies)
 }
+
+// TestLeafSkyline checks the leaf sweep against a brute-force pairwise
+// dominance filter on random leaves of 1 to leafSize points. Speedups
+// never fall along a leaf and come in runs of equal values; util_comp
+// values are drawn from a few levels, so they tie often, and they
+// sometimes rise inside a run of equal speedups. The test also
+// requires tied survivors, so a sweep that keeps one member of a tied
+// vector fails it.
+func TestLeafSkyline(t *testing.T) {
+	const trials = 20000
+	r := rand.New(rand.NewSource(23))
+	var pts [leafSize]point
+	var tiedKeeps, rises int
+	for trial := 0; trial < trials; trial++ {
+		n := 1 + r.Intn(leafSize)
+		speedup := float64(r.Intn(4))
+		levels := 1 + r.Intn(4)
+		for i := range n {
+			if i > 0 && r.Intn(3) == 0 {
+				speedup += float64(1 + r.Intn(2))
+			}
+			pts[i] = point{speedup: speedup, utilComp: float64(r.Intn(levels)) / 4}
+			if i > 0 && pts[i].speedup == pts[i-1].speedup && pts[i].utilComp > pts[i-1].utilComp {
+				rises++
+			}
+		}
+		got := skyline(pts[:n])
+		var want uint32
+		for i := range n {
+			dominated := false
+			for j := range n {
+				a, b := &pts[j], &pts[i]
+				if a.speedup >= b.speedup && a.utilComp >= b.utilComp &&
+					(a.speedup > b.speedup || a.utilComp > b.utilComp) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				want |= 1 << i
+			}
+		}
+		if got != want {
+			t.Fatalf("trial %d: skyline %0*b, want %0*b\npoints %+v", trial, n, got, n, want, pts[:n])
+		}
+		for i := 1; i < n; i++ {
+			if want&(1<<i) != 0 && want&(1<<(i-1)) != 0 &&
+				pts[i].speedup == pts[i-1].speedup && pts[i].utilComp == pts[i-1].utilComp {
+				tiedKeeps++
+			}
+		}
+	}
+	if tiedKeeps < trials/10 || rises < trials/10 {
+		t.Fatalf("%d tied survivor pairs and %d util_comp rises in %d leaves; the generator misses a case", tiedKeeps, rises, trials)
+	}
+	t.Logf("%d tied survivor pairs, %d util_comp rises inside a run", tiedKeeps, rises)
+}

@@ -198,10 +198,11 @@ func BenchmarkServerPredictTenanted(b *testing.B) {
 // explorePayload is an explore-grid-shaped /v1/explore body: 16 clocks
 // x 16 throughput_procs rows x 4 alphas x 4 block sizes x 4 device
 // counts x 2 bufferings = 32,768 candidates around the 1-D PDF
-// worksheet, top 10 by speedup above a speedup floor.
-func explorePayload(b *testing.B, frontier bool) []byte {
+// worksheet, top 10 by the objective above a speedup floor.
+func explorePayload(b *testing.B, objective string, frontier bool) []byte {
 	base := paper.PDF1DParams()
 	req := api.ExploreRequest{
+		Objective:  objective,
 		Worksheet:  worksheet.DocFromParams(base),
 		Alphas:     []float64{0.2, 0.4, 0.6, 0.8},
 		BlockSizes: []int64{base.Dataset.ElementsIn / 2, base.Dataset.ElementsIn, 2 * base.Dataset.ElementsIn, 4 * base.Dataset.ElementsIn},
@@ -225,22 +226,24 @@ func explorePayload(b *testing.B, frontier bool) []byte {
 // BenchmarkServerExplore measures one default-config POST /v1/explore
 // in process — admission, body read, wire decode, one compile, the
 // engine, wire encode, write — on an explore-grid-shaped grid, top-K
-// only and with the frontier. Not gated.
+// only and with the frontier, under each objective. Not gated.
 func BenchmarkServerExplore(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
 		frontier bool
 	}{{"TopK", false}, {"Frontier", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			ph := newPredictHarness(New(Config{}).Handler(), explorePayload(b, tc.frontier), nil)
-			ph.req.URL.Path, ph.req.RequestURI = "/v1/explore", "/v1/explore"
-			ph.warm(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ph.run(b)
-			}
-		})
+		for _, obj := range []string{"max-speedup", "min-trc", "min-cost"} {
+			b.Run(tc.name+"/"+obj, func(b *testing.B) {
+				ph := newPredictHarness(New(Config{}).Handler(), explorePayload(b, obj, tc.frontier), nil)
+				ph.req.URL.Path, ph.req.RequestURI = "/v1/explore", "/v1/explore"
+				ph.warm(b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ph.run(b)
+				}
+			})
+		}
 	}
 }
 

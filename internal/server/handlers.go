@@ -496,7 +496,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 	if stream {
 		sc.out = wire.AppendExploreJSONL(sc.out[:0], &res, req.Frontier, wantSpans)
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		h := w.Header()
+		h.Set("Content-Type", "application/x-ndjson")
+		setLength(h, len(sc.out))
 		clk.setHeader(w, r)
 		w.Write(sc.out)
 		return
@@ -576,9 +578,29 @@ func writeBody(w http.ResponseWriter, body []byte, binary bool) {
 			h["Content-Type"] = contentTypeJSONValue
 		}
 	}
+	n := len(body)
+	if !binary {
+		n += len(newline)
+	}
+	setLength(h, n)
 	w.Write(body)
 	if !binary {
 		w.Write(newline)
+	}
+}
+
+// chunkingBuffer is how much of a body net/http holds back before it
+// sends the header: a handler that writes no more and returns gets a
+// Content-Length from net/http, and a longer body goes out chunked
+// unless the handler declared its length.
+const chunkingBuffer = 2048
+
+// setLength declares the length of a fully rendered body of n bytes
+// when net/http would otherwise send it chunked. Shorter bodies get
+// their length from net/http, so their writes stay allocation-free.
+func setLength(h http.Header, n int) {
+	if n > chunkingBuffer {
+		h["Content-Length"] = []string{strconv.Itoa(n)}
 	}
 }
 

@@ -351,6 +351,60 @@ func TestExploreEndpoint(t *testing.T) {
 	}
 }
 
+// TestRenderedBodiesHaveLength: a fully rendered body longer than
+// net/http's pre-chunking buffer is sent with its Content-Length, not
+// chunked: a 4-worksheet batch, a top-10 explore and its JSONL form.
+func TestRenderedBodiesHaveLength(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	ps := []core.Parameters{paper.PDF1DParams(), paper.PDF2DParams(), paper.MDParams(), paper.PDF1DParams()}
+	docs := make([]worksheet.Doc, len(ps))
+	for i, p := range ps {
+		docs[i] = worksheet.DocFromParams(p)
+	}
+	batch, err := json.Marshal(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exploreReq, err := json.Marshal(api.ExploreRequest{
+		Worksheet: worksheet.DocFromParams(paper.PDF1DParams()),
+		ClocksMHz: []float64{75, 100, 125, 150, 175, 200},
+		TopK:      10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/predict/batch", batch},
+		{"/v1/explore", exploreReq},
+		{"/v1/explore?stream=jsonl", exploreReq},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, resp.StatusCode, body)
+		}
+		if len(body) <= chunkingBuffer {
+			t.Fatalf("%s: a %d-byte body fits net/http's buffer and tests nothing", tc.path, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || resp.TransferEncoding != nil {
+			t.Errorf("%s: Content-Length %d and Transfer-Encoding %v for a %d-byte body",
+				tc.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
 // TestPredictErrors maps request defects to status codes.
 func TestPredictErrors(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
