@@ -3,11 +3,10 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/chrec/rat/internal/api"
 	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/server"
@@ -36,17 +35,19 @@ var gridArgs = []string{
 }
 
 // singleNodeJSONL renders the reference output: what ratsim explore
-// -jsonl prints for the same grid.
+// -jsonl prints for the same grid, from the request gridArgs describe.
 func singleNodeJSONL(t *testing.T) string {
 	t.Helper()
-	req, err := buildRequest(exploreGridFlags{
-		study: "pdf1d", clocks: "75,100,150", tps: "10,20,40",
-		alphas: "0.16,0.37", blocks: "512,2048", devices: "1,4",
-		topo: "independent", buf: "both", objective: "max-speedup",
-		top: 10, frontier: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	req := api.ExploreRequest{
+		Worksheet:       worksheet.DocFromParams(paper.PDF1DParams()),
+		ClocksMHz:       []float64{75, 100, 150},
+		ThroughputProcs: []float64{10, 20, 40},
+		Alphas:          []float64{0.16, 0.37},
+		BlockSizes:      []int64{512, 2048},
+		Devices:         []int{1, 4},
+		Topology:        "independent",
+		TopK:            10,
+		Frontier:        true,
 	}
 	g, err := req.Grid()
 	if err != nil {
@@ -157,9 +158,11 @@ func TestUsageContract(t *testing.T) {
 		{"frobnicate"},
 		{"explore"},                          // missing -workers
 		{"explore", "-workers", "not-a-url"}, // bad scheme
+		{"explore", "-workers", "http://"},   // no host
 		{"explore", "-workers", "http://h", "-buffering", "sometimes"},
 		{"explore", "-workers", "http://h", "-nope"},
 		{"status"},
+		{"status", "-workers", "http://"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer
@@ -181,17 +184,8 @@ func TestUsageContract(t *testing.T) {
 	p := paper.PDF1DParams()
 	p.Dataset.BytesPerElement = 1e300
 	p.Dataset.ElementsIn = 1 << 40
-	path := filepath.Join(t.TempDir(), "ws.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := worksheet.EncodeJSON(f, p); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	errOut.Reset()
-	args = []string{"explore", "-workers", "http://127.0.0.1:1", "-worksheet", path}
+	args = []string{"explore", "-workers", "http://127.0.0.1:1", "-worksheet", worksheetFile(t, p)}
 	if code := run(args, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "TComm") {
 		t.Errorf("overflowing worksheet: exit %d (%s), want 1 naming TComm", code, errOut.String())
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/chrec/rat/client"
 	"github.com/chrec/rat/internal/cli"
 )
 
@@ -21,33 +20,28 @@ func cmdStatus(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", cli.ErrUsage, err)
 	}
-	urls, err := workerURLs(*workersFlag)
+	fleet, err := workerFleet(*workersFlag, *key, *timeout)
 	if err != nil {
 		return err
 	}
 
 	down := 0
-	for _, u := range urls {
-		opts := []client.Option{}
-		if *key != "" {
-			opts = append(opts, client.WithAPIKey(*key))
-		}
-		c := client.New(u, opts...)
+	for _, w := range fleet {
 		//rat:allow-wallclock CLI probe deadline
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		st, err := c.Status(ctx)
+		st, err := w.W.Status(ctx)
 		cancel()
 		if err != nil {
 			down++
-			fmt.Fprintf(out, "%s: DOWN (%v)\n", u, err)
+			fmt.Fprintf(out, "%s: DOWN (%v)\n", w.Name, err)
 			continue
 		}
 		fmt.Fprintf(out, "%s: up %s, %d requests, draining %v\n",
-			u, (time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second),
+			w.Name, (time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second),
 			st.Requests, st.Draining)
 	}
 	if down > 0 {
-		return fmt.Errorf("%d of %d workers down", down, len(urls))
+		return fmt.Errorf("%d of %d workers down", down, len(fleet))
 	}
 	return nil
 }

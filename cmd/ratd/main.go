@@ -76,7 +76,6 @@ func serve(args []string, out io.Writer, sig <-chan os.Signal) error {
 	exploreTimeout := fs.Duration("explore-timeout", 0, "per-request explore deadline (0 = default 2m)")
 	maxCandidates := fs.Uint64("max-explore-candidates", 0, "largest grid a single explore may ask for (0 = default 4Mi)")
 	maxDistributed := fs.Uint64("max-distributed-candidates", 0, "largest candidate span a distributed explore may coordinate (0 = default 1Gi)")
-	exploreWorkers := fs.Int("explore-workers", 0, "workers per exploration (0 = one per CPU)")
 	accessLog := fs.String("access-log", "", "JSONL access log path (- for stdout, empty disables)")
 	tenantsFile := fs.String("tenants", "", "tenant config JSON (enables multi-tenant admission; SIGHUP reloads)")
 	exploreCost := fs.Float64("explore-cost", 0, "token-bucket cost of one explore request (0 = default 16)")
@@ -98,7 +97,6 @@ func serve(args []string, out io.Writer, sig <-chan os.Signal) error {
 		ExploreTimeout:           *exploreTimeout,
 		MaxExploreCandidates:     *maxCandidates,
 		MaxDistributedCandidates: *maxDistributed,
-		ExploreWorkers:           *exploreWorkers,
 		ExploreTokenCost:         *exploreCost,
 	}
 

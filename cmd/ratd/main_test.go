@@ -125,6 +125,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"stray-arg"},
 		{"-max-batch", "16"},
 		{"-linger", "1ms"},
+		{"-explore-workers", "2"},
 	} {
 		var out, errOut syncBuffer
 		if code := run(args, &out, &errOut, nil); code != 2 {

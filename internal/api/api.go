@@ -12,6 +12,7 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/chrec/rat/internal/core"
@@ -247,6 +248,51 @@ func (r ExploreRequest) Options(workers int) (explore.Options, error) {
 		opts.Objective = obj
 	}
 	return opts, nil
+}
+
+// ExploreJob is an explore request made ready to run: its grid
+// compiled once, the candidate span it asks for, and its options.
+type ExploreJob struct {
+	Grid    *explore.Compiled
+	Span    uint64
+	Options explore.Options
+}
+
+// Prepare is the one validation path of every explore surface (both
+// explore endpoints, the cluster coordinator, ratsim explore and
+// ratctl explore): it builds the request's grid, compiles it once,
+// checks the index range, parses the options with the given engine
+// worker count and refuses non-finite constraints. Every failure wraps
+// core.ErrInvalidParameters, so every surface rejects the same
+// requests. The span is the index range's width when one is set: a
+// sharded request is charged for its slice, not the whole grid.
+func (r *ExploreRequest) Prepare(workers int) (ExploreJob, error) {
+	grid, err := r.Grid()
+	if err != nil {
+		return ExploreJob{}, fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
+	}
+	c, err := grid.Compile()
+	if err != nil {
+		return ExploreJob{}, err
+	}
+	span := c.Size()
+	if r.IndexLo != 0 || r.IndexHi != 0 {
+		if r.IndexHi > span || r.IndexLo >= r.IndexHi {
+			return ExploreJob{}, fmt.Errorf("%w: invalid index range [%d, %d) for grid size %d",
+				core.ErrInvalidParameters, r.IndexLo, r.IndexHi, span)
+		}
+		span = r.IndexHi - r.IndexLo
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(r.MinSpeedup) || !finite(r.MaxTRCSeconds) || !finite(r.MaxUtilComm) {
+		return ExploreJob{}, fmt.Errorf("%w: constraints must be finite (min_speedup %v, max_trc_seconds %v, max_util_comm %v)",
+			core.ErrInvalidParameters, r.MinSpeedup, r.MaxTRCSeconds, r.MaxUtilComm)
+	}
+	opts, err := r.Options(workers)
+	if err != nil {
+		return ExploreJob{}, fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
+	}
+	return ExploreJob{Grid: c, Span: span, Options: opts}, nil
 }
 
 // Candidate is the wire form of one evaluated design point.

@@ -3,9 +3,12 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"testing"
 
 	"github.com/chrec/rat/internal/core"
+	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/paper"
 )
 
@@ -113,5 +116,42 @@ func TestExploreRequestGrid(t *testing.T) {
 	req.Objective = "fastest"
 	if _, err := req.Options(1); err == nil {
 		t.Error("bad objective accepted")
+	}
+}
+
+// TestPrepare: the one explore validation path compiles the grid once,
+// charges a sharded request for its slice, and refuses non-finite
+// constraints, which JSON cannot carry to ratd but a CLI flag can,
+// with ErrInvalidParameters.
+func TestPrepare(t *testing.T) {
+	base := ExploreRequest{
+		Worksheet: PredictionFromCore(core.MustPredict(paper.PDF1DParams())).Worksheet,
+		ClocksMHz: []float64{75, 100, 150},
+		Objective: "min-trc",
+	}
+	job, err := base.Prepare(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Span != 6 || job.Grid.Size() != 6 || job.Options.Workers != 3 || job.Options.Objective != explore.MinTRC {
+		t.Errorf("job = span %d, grid %d, options %+v", job.Span, job.Grid.Size(), job.Options)
+	}
+	shard := base
+	shard.IndexLo, shard.IndexHi = 2, 5
+	if job, err := shard.Prepare(0); err != nil || job.Span != 3 {
+		t.Errorf("shard [2, 5): span %d, %v; want 3", job.Span, err)
+	}
+
+	for _, mod := range []func(*ExploreRequest){
+		func(r *ExploreRequest) { r.MinSpeedup = math.NaN() },
+		func(r *ExploreRequest) { r.MaxTRCSeconds = math.Inf(1) },
+		func(r *ExploreRequest) { r.MaxUtilComm = math.Inf(-1) },
+	} {
+		req := base
+		mod(&req)
+		if _, err := req.Prepare(0); !errors.Is(err, core.ErrInvalidParameters) {
+			t.Errorf("constraints %v/%v/%v: Prepare = %v, want ErrInvalidParameters",
+				req.MinSpeedup, req.MaxTRCSeconds, req.MaxUtilComm, err)
+		}
 	}
 }

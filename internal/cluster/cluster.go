@@ -22,6 +22,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/url"
 	"time"
 
 	"github.com/chrec/rat/client"
@@ -160,7 +162,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.MaxInflight = 2
 	}
 	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = 30 * time.Second
+		cfg.ShardTimeout = defaultShardTimeout
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3 * len(cfg.Workers)
@@ -192,6 +194,41 @@ func New(cfg Config) (*Coordinator, error) {
 		mHealthy:    reg.Gauge("cluster.workers_healthy"),
 		mLatency:    reg.Timer("cluster.shard_latency"),
 	}, nil
+}
+
+// defaultShardTimeout is the straggler deadline when none is set.
+const defaultShardTimeout = 30 * time.Second
+
+// Fleet builds one Remote per ratd base URL, the fleet of a ratctl run
+// or of a /v1/explore/distributed request. A URL must parse with an
+// http or https scheme and a host; anything else wraps
+// core.ErrInvalidParameters. Each worker's client retries once (the
+// scheduler owns failover: persistent failures go back to it, and it
+// work-steals onto the rest of the fleet) and carries key, when set,
+// as its API key. Its transport deadline is shardTimeout (default 30s)
+// plus 30s: the straggler deadline re-dispatches a slow shard, and the
+// transport deadline is the hard stop that frees the in-flight slot
+// afterwards.
+func Fleet(urls []string, key string, shardTimeout time.Duration) ([]Remote, error) {
+	if shardTimeout <= 0 {
+		shardTimeout = defaultShardTimeout
+	}
+	fleet := make([]Remote, 0, len(urls))
+	for _, raw := range urls {
+		u, err := url.Parse(raw)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("%w: worker %q is not an http(s) base URL", core.ErrInvalidParameters, raw)
+		}
+		opts := []client.Option{
+			client.WithRetryPolicy(client.RetryPolicy{MaxRetries: 1, Backoff: 50 * time.Millisecond}),
+			client.WithHTTPClient(&http.Client{Timeout: shardTimeout + 30*time.Second}),
+		}
+		if key != "" {
+			opts = append(opts, client.WithAPIKey(key))
+		}
+		fleet = append(fleet, Remote{Name: raw, W: client.New(raw, opts...)})
+	}
+	return fleet, nil
 }
 
 // shardState tracks one shard through dispatch, failure and
@@ -250,37 +287,16 @@ type run struct {
 // same request — plus run statistics. The context bounds the whole
 // run; cancellation abandons in-flight shards.
 func (c *Coordinator) Run(ctx context.Context, req api.ExploreRequest) (explore.Result, Stats, error) {
-	grid, err := req.Grid()
+	job, err := req.Prepare(0)
 	if err != nil {
 		return explore.Result{}, Stats{}, fmt.Errorf("cluster: %w", err)
 	}
-	if err := grid.Validate(); err != nil {
-		return explore.Result{}, Stats{}, fmt.Errorf("cluster: %w", err)
-	}
-	size := grid.Size()
-	lo, hi := req.IndexLo, req.IndexHi
-	if lo == 0 && hi == 0 {
-		hi = size
-	}
-	if hi > size || lo >= hi {
-		return explore.Result{}, Stats{}, fmt.Errorf("cluster: %w", errRange(lo, hi, size))
-	}
-	span := hi - lo
-	obj := explore.MaxSpeedup
-	if req.Objective != "" {
-		if obj, err = explore.ParseObjective(req.Objective); err != nil {
-			return explore.Result{}, Stats{}, fmt.Errorf("cluster: %w", err)
-		}
-	}
-	k := req.TopK
+	grid, _ := req.Grid() // cannot fail once Prepare built it
+	lo, span := req.IndexLo, job.Span
+	hi := lo + span
+	k := job.Options.TopK
 	if k <= 0 {
 		k = 10
-	}
-	cons := explore.Constraints{
-		MinSpeedup:  req.MinSpeedup,
-		MaxTRC:      req.MaxTRCSeconds,
-		MaxUtilComm: req.MaxUtilComm,
-		MaxDevices:  req.MaxDevices,
 	}
 
 	shardSize := c.shardSize(span)
@@ -300,7 +316,7 @@ func (c *Coordinator) Run(ctx context.Context, req api.ExploreRequest) (explore.
 	st.stats.Workers = len(st.workers)
 	st.stats.Shards = len(st.shards)
 
-	m := newMerger(grid, cons, obj, k, req.Frontier)
+	m := newMerger(grid, job.Options.Constraints, job.Options.Objective, k, req.Frontier)
 	res, err := c.schedule(ctx, st, m, req, span)
 	st.finishStats(c.cfg.Workers)
 	if err != nil {
@@ -641,10 +657,4 @@ func (st *run) finishStats(workers []Remote) {
 	for i, w := range workers {
 		st.stats.PerWorker[i] = WorkerStats{Name: w.Name, Shards: st.workers[i].shards, Failures: st.workers[i].failures}
 	}
-}
-
-// errRange builds the invalid-index-range error, wrapping
-// core.ErrInvalidParameters so servers map it to 400.
-func errRange(lo, hi, size uint64) error {
-	return fmt.Errorf("%w: invalid index range [%d, %d) for grid size %d", core.ErrInvalidParameters, lo, hi, size)
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // exploreWorkers counts the goroutines running an explore worker, from
-// their stacks. With ExploreWorkers 1 each engine is one worker, so
-// this is the number of engines still running.
+// their stacks: each running engine has one per engine worker, up to
+// the server's derived count.
 func exploreWorkers() int {
 	buf := make([]byte, 1<<20)
 	for {
@@ -64,14 +64,15 @@ const shardSlack = 100 * time.Millisecond
 // test: 16 slow explorations sent 40 ms apart, each abandoned by its
 // client after 30 ms. Once every client has given up, no more than
 // ExploreLimit engines may run, because a handler holds its admission
-// slot until its engine returns; and every engine stops within one
-// shard, because the engine checks the request context at each shard
-// boundary.
+// slot until its engine returns, so no more than ExploreLimit x the
+// derived worker count engine goroutines; and every engine stops
+// within one shard, because the engine checks the request context at
+// each shard boundary.
 func TestAbandonedExploresStopEngines(t *testing.T) {
 	awaitNoExploreWorkers(t, 30*time.Second) // engines left by earlier tests
-	srv := New(Config{ExploreWorkers: 1})
+	srv := New(Config{})
 	reg := srv.Metrics()
-	limit := srv.cfg.ExploreLimit
+	limit := srv.cfg.ExploreLimit * srv.exploreWorkers
 	url, _ := startServer(t, srv)
 	defer srv.Shutdown(context.Background())
 	body := slowExploreBody(t)
@@ -97,7 +98,8 @@ func TestAbandonedExploresStopEngines(t *testing.T) {
 	wg.Wait()
 
 	if n := exploreWorkers(); n > limit {
-		t.Errorf("%d engines still running once every client gave up, want at most ExploreLimit = %d", n, limit)
+		t.Errorf("%d engine workers still running once every client gave up, want at most ExploreLimit x %d = %d",
+			n, srv.exploreWorkers, limit)
 	}
 	took := awaitNoExploreWorkers(t, 30*time.Second)
 	shard := longestShard(reg)
@@ -113,7 +115,8 @@ func TestAbandonedExploresStopEngines(t *testing.T) {
 // flight stop within one engine shard.
 func TestCancelledDistributedExploreStops(t *testing.T) {
 	awaitNoExploreWorkers(t, 30*time.Second)
-	worker := New(Config{ExploreWorkers: 1})
+	// One engine worker per explore, whatever the CPU count.
+	worker := New(Config{ExploreLimit: runtime.GOMAXPROCS(0)})
 	workerReg := worker.Metrics()
 	workerURL, _ := startServer(t, worker)
 	defer worker.Shutdown(context.Background())

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"time"
 
-	"github.com/chrec/rat/client"
 	"github.com/chrec/rat/internal/api"
 	"github.com/chrec/rat/internal/cluster"
 	"github.com/chrec/rat/internal/core"
@@ -67,17 +65,17 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	job, err := prepareExplore(&req.Explore, 0)
+	job, err := req.Explore.Prepare(0)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
 	// The distributed ceiling is fleet-scale, far above the per-node
 	// one: each shard re-passes the per-node ceiling on its worker.
-	if job.span > s.cfg.MaxDistributedCandidates {
+	if job.Span > s.cfg.MaxDistributedCandidates {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request asks for %d candidates; this server caps distributed explorations at %d",
-				job.span, s.cfg.MaxDistributedCandidates))
+				job.Span, s.cfg.MaxDistributedCandidates))
 		return
 	}
 
@@ -108,34 +106,13 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 	writeBody(w, out, false)
 }
 
-// newCoordinator builds the per-request cluster coordinator: one
-// typed client per worker URL, light retries (the scheduler owns
-// failover), metrics on the server's registry.
+// newCoordinator builds the per-request cluster coordinator over
+// cluster.Fleet, with metrics on the server's registry.
 func (s *Server) newCoordinator(req api.DistributedExploreRequest, key string) (*cluster.Coordinator, error) {
 	shardTimeout := time.Duration(req.ShardTimeoutSeconds * float64(time.Second))
-	if shardTimeout <= 0 {
-		shardTimeout = 30 * time.Second
-	}
-	workers := make([]cluster.Remote, 0, len(req.Workers))
-	for _, raw := range req.Workers {
-		u, err := url.Parse(raw)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("%w: worker %q is not an http(s) base URL", core.ErrInvalidParameters, raw)
-		}
-		opts := []client.Option{
-			// One quick retry per dispatch; persistent failures go
-			// back to the scheduler, which work-steals onto the rest
-			// of the fleet.
-			client.WithRetryPolicy(client.RetryPolicy{MaxRetries: 1, Backoff: 50 * time.Millisecond}),
-			// The straggler deadline re-dispatches a slow shard; the
-			// transport deadline is the hard stop that frees the
-			// in-flight slot afterwards.
-			client.WithHTTPClient(&http.Client{Timeout: shardTimeout + 30*time.Second}),
-		}
-		if key != "" {
-			opts = append(opts, client.WithAPIKey(key))
-		}
-		workers = append(workers, cluster.Remote{Name: raw, W: client.New(raw, opts...)})
+	workers, err := cluster.Fleet(req.Workers, key, shardTimeout)
+	if err != nil {
+		return nil, err
 	}
 	return cluster.New(cluster.Config{
 		Workers:      workers,

@@ -166,6 +166,14 @@ func TestDistributedExploreRejections(t *testing.T) {
 			t.Fatalf("HTTP %d: %s, want 400", resp.StatusCode, body)
 		}
 	})
+	t.Run("worker URL without a host", func(t *testing.T) {
+		dreq := distExploreRequest([]string{"http://"})
+		dreq.Explore.IndexLo, dreq.Explore.IndexHi = 0, 16
+		resp, body := postDistributed(t, ts.URL, dreq)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("HTTP %d: %s, want 400", resp.StatusCode, body)
+		}
+	})
 	t.Run("over the distributed ceiling", func(t *testing.T) {
 		resp, body := postDistributed(t, ts.URL, distExploreRequest([]string{ts.URL}))
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {

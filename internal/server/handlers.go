@@ -13,7 +13,6 @@ import (
 
 	"github.com/chrec/rat/internal/api"
 	"github.com/chrec/rat/internal/core"
-	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/obs"
 	"github.com/chrec/rat/internal/telemetry"
 	"github.com/chrec/rat/internal/wire"
@@ -380,50 +379,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, sc.out, binResp)
 }
 
-// exploreJob is an explore request made ready to run: its grid
-// compiled once, the candidate span it asks for, and its options.
-type exploreJob struct {
-	grid *explore.Compiled
-	span uint64
-	opts explore.Options
-}
-
-// prepareExplore is the one validation path of both explore
-// endpoints: it builds the request's grid, compiles it once, checks
-// the index range and parses the options. Every failure wraps
-// core.ErrInvalidParameters (400), so /v1/explore and
-// /v1/explore/distributed reject the same requests the same way.
-// The span is the index range's width when one is set: a sharded
-// request is charged for its slice, not the whole grid, so a
-// coordinator can spread a grid far beyond any single node's ceiling
-// across a fleet.
-func prepareExplore(req *api.ExploreRequest, workers int) (exploreJob, error) {
-	grid, err := req.Grid()
-	if err != nil {
-		if !errors.Is(err, core.ErrInvalidParameters) {
-			err = fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
-		}
-		return exploreJob{}, err
-	}
-	c, err := grid.Compile()
-	if err != nil {
-		return exploreJob{}, err
-	}
-	span := c.Size()
-	if req.IndexLo != 0 || req.IndexHi != 0 {
-		if req.IndexHi > span || req.IndexLo >= req.IndexHi {
-			return exploreJob{}, fmt.Errorf("%w: invalid index range [%d, %d) for grid size %d",
-				core.ErrInvalidParameters, req.IndexLo, req.IndexHi, span)
-		}
-		span = req.IndexHi - req.IndexLo
-	}
-	opts, err := req.Options(workers)
-	if err != nil {
-		return exploreJob{}, fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
-	}
-	return exploreJob{grid: c, span: span, opts: opts}, nil
-}
-
 // handleExplore serves POST /v1/explore: a bounded grid search via
 // internal/explore, in one pass on the request goroutine. The body is
 // read into pooled scratch and decoded by internal/wire, the grid is
@@ -465,15 +420,15 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	job, err := prepareExplore(&req, s.cfg.ExploreWorkers)
+	job, err := req.Prepare(s.exploreWorkers)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	if job.span > s.cfg.MaxExploreCandidates {
+	if job.Span > s.cfg.MaxExploreCandidates {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request asks for %d candidates; this server caps explorations at %d",
-				job.span, s.cfg.MaxExploreCandidates))
+				job.Span, s.cfg.MaxExploreCandidates))
 		return
 	}
 	var stream, wantSpans bool
@@ -482,10 +437,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		stream = q.Get("stream") == "jsonl"
 		wantSpans = stream && q.Get("spans") == "1"
 	}
-	job.opts.Metrics = s.reg
-	job.opts.CollectSpans = wantSpans
+	job.Options.Metrics = s.reg
+	job.Options.CollectSpans = wantSpans
 
-	res, err := job.grid.Run(r.Context(), job.opts)
+	res, err := job.Grid.Run(r.Context(), job.Options)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return

@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -40,7 +41,8 @@ type Config struct {
 	// PredictLimit, BatchLimit and ExploreLimit bound concurrently
 	// admitted requests per endpoint (batch requests weigh their
 	// worksheet count). Each endpoint queues on its own limit only.
-	// Defaults 64, 16, 2.
+	// Defaults 64, 16, 2. An admitted exploration runs
+	// GOMAXPROCS/ExploreLimit engine workers, at least one.
 	PredictLimit int
 	BatchLimit   int
 	ExploreLimit int
@@ -65,9 +67,6 @@ type Config struct {
 	// Fleet-scale, so far above the per-node ceiling; each shard
 	// re-passes the per-node ceiling on its worker. Default 1Gi.
 	MaxDistributedCandidates uint64
-	// ExploreWorkers is the worker-pool size per exploration; 0 uses
-	// one worker per CPU.
-	ExploreWorkers int
 
 	// Tenants, when non-nil, turns on multi-tenant admission: every
 	// API request must carry a configured key (Authorization: Bearer
@@ -137,6 +136,11 @@ type Server struct {
 
 	tenancy *tenancy
 
+	// exploreWorkers is the engine worker count of one served
+	// exploration: the CPUs shared out over ExploreLimit admitted
+	// explores, at least one. Admission alone decides how many run.
+	exploreWorkers int
+
 	handler  http.Handler
 	hs       *http.Server
 	draining atomic.Bool
@@ -153,16 +157,17 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := telemetry.NewRegistry()
 	s := &Server{
-		cfg:        cfg,
-		reg:        reg,
-		cache:      newResponseCache(reg, cfg.CacheSize),
-		admPredict: newAdmission(reg, "predict", int64(cfg.PredictLimit), cfg.AdmissionWait),
-		admBatch:   newAdmission(reg, "batch", int64(cfg.BatchLimit), cfg.AdmissionWait),
-		admExplore: newAdmission(reg, "explore", int64(cfg.ExploreLimit), cfg.AdmissionWait),
-		panics:     reg.Counter("server.panics"),
-		requests:   reg.Counter("server.requests"),
-		red:        newRedMetrics(reg),
-		start:      time.Now(),
+		cfg:            cfg,
+		reg:            reg,
+		cache:          newResponseCache(reg, cfg.CacheSize),
+		admPredict:     newAdmission(reg, "predict", int64(cfg.PredictLimit), cfg.AdmissionWait),
+		admBatch:       newAdmission(reg, "batch", int64(cfg.BatchLimit), cfg.AdmissionWait),
+		admExplore:     newAdmission(reg, "explore", int64(cfg.ExploreLimit), cfg.AdmissionWait),
+		exploreWorkers: max(1, runtime.GOMAXPROCS(0)/cfg.ExploreLimit),
+		panics:         reg.Counter("server.panics"),
+		requests:       reg.Counter("server.requests"),
+		red:            newRedMetrics(reg),
+		start:          time.Now(),
 	}
 	if cfg.Tenants != nil {
 		s.tenancy = newTenancy(reg, cfg.Tenants, cfg.ExploreTokenCost)

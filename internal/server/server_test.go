@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -557,6 +558,40 @@ func TestNonFiniteWorksheetRejected(t *testing.T) {
 				t.Errorf("%s binary=%v: error %q does not name the overflowing quantity (want %q)", route.path, bin, e.Error, route.want)
 			}
 		}
+	}
+}
+
+// TestExploreWorkersDerived: a served exploration runs
+// max(1, GOMAXPROCS/ExploreLimit) engine workers, derived once in New,
+// and a default-config /v1/explore reports that count as "workers".
+func TestExploreWorkersDerived(t *testing.T) {
+	srv := New(Config{})
+	procs, limit := runtime.GOMAXPROCS(0), srv.cfg.ExploreLimit
+	if want := max(1, procs/limit); srv.exploreWorkers != want {
+		t.Fatalf("derived %d engine workers, want max(1, GOMAXPROCS %d / ExploreLimit %d) = %d",
+			srv.exploreWorkers, procs, limit, want)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := api.ExploreRequest{Worksheet: worksheet.DocFromParams(paper.PDF1DParams())}
+	for i := 1; i <= 16; i++ {
+		req.ClocksMHz = append(req.ClocksMHz, float64(25*i))
+		req.ThroughputProcs = append(req.ThroughputProcs, float64(i))
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/explore", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got api.ExploreResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d (%v)", resp.StatusCode, err)
+	}
+	// The engine never runs more workers than candidates.
+	if want := min(uint64(srv.exploreWorkers), got.Evaluated); uint64(got.Workers) != want {
+		t.Errorf("/v1/explore reports %d workers over %d candidates, want the derived %d",
+			got.Workers, got.Evaluated, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func slowExploreBody(t *testing.T) []byte {
 // answered 200, Serve returns http.ErrServerClosed, and the listener
 // stops accepting new connections.
 func TestGracefulShutdownCompletesInFlight(t *testing.T) {
-	srv := New(Config{ExploreWorkers: 1})
+	srv := New(Config{})
 	reg := srv.Metrics()
 	url, served := startServer(t, srv)
 
@@ -136,7 +137,7 @@ func TestGracefulShutdownCompletesInFlight(t *testing.T) {
 // once the handler unwinds.
 func TestShutdownDeadlineCancelsExplore(t *testing.T) {
 	srv := New(Config{
-		ExploreWorkers: 1,
+		ExploreLimit:   runtime.GOMAXPROCS(0), // one engine worker per explore
 		ExploreTimeout: 100 * time.Millisecond,
 	})
 	reg := srv.Metrics()

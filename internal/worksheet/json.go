@@ -118,15 +118,25 @@ func EncodeJSON(w io.Writer, p core.Parameters) error {
 // misspelled parameter silently defaulting to zero would make a
 // prediction quietly wrong), and validates the result.
 func DecodeJSON(r io.Reader) (core.Parameters, error) {
+	doc, err := DecodeDoc(r)
+	if err != nil {
+		return core.Parameters{}, err
+	}
+	return doc.Params(), nil
+}
+
+// DecodeDoc is DecodeJSON keeping the document form, for a request
+// that embeds the worksheet exactly as written: converting the
+// Parameters back to MHz and MB/s need not give the same floats.
+func DecodeDoc(r io.Reader) (Doc, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var doc jsonWorksheet
 	if err := dec.Decode(&doc); err != nil {
-		return core.Parameters{}, fmt.Errorf("%w: %v", ErrSyntax, err)
+		return Doc{}, fmt.Errorf("%w: %v", ErrSyntax, err)
 	}
-	p := doc.toParams()
-	if err := p.Validate(); err != nil {
-		return core.Parameters{}, err
+	if err := doc.toParams().Validate(); err != nil {
+		return Doc{}, err
 	}
-	return p, nil
+	return doc, nil
 }
