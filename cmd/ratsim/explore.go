@@ -16,7 +16,7 @@ import (
 func cmdExplore(args []string, out io.Writer) error {
 	fs := newFlagSet("explore")
 	grid := explorecli.Register(fs)
-	workers := fs.Int("workers", 0, "worker count (0 = all CPUs; any value gives identical results)")
+	workers := fs.Int("workers", 0, "worker count (0 = GOMAXPROCS; any value gives identical results)")
 	metrics := fs.Bool("metrics", false, "print the engine's telemetry after the run")
 	if err := fs.Parse(args); err != nil {
 		return cli.WrapUsage(err)

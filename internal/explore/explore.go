@@ -173,7 +173,8 @@ func (cs Constraints) devicesOK(devices int) bool {
 // Options configure a Run.
 type Options struct {
 	// Workers is the worker-pool size; values below 1 use
-	// runtime.NumCPU(). The result is identical for any value.
+	// runtime.GOMAXPROCS(0), the CPUs the process may run on at once.
+	// The result is identical for any value.
 	Workers int
 	// TopK is how many best candidates to keep (default 10).
 	TopK int
@@ -289,7 +290,7 @@ func (c *Compiled) Run(ctx context.Context, opts Options) (Result, error) {
 	span := rangeHi - rangeLo
 	workers := opts.Workers
 	if workers < 1 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if uint64(workers) > span {
 		workers = int(span)

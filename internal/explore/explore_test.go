@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -219,6 +220,19 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 					obj, w, got.Evaluated, got.Feasible, want.Evaluated, want.Feasible)
 			}
 		}
+	}
+}
+
+// TestExploreDefaultWorkersFollowGOMAXPROCS: Workers 0 sizes the pool
+// by the CPUs the process may use at once, not by the host's CPUs.
+func TestExploreDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res, err := explore.Run(testGrid(), explore.Options{Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Workers != 1 {
+		t.Errorf("Workers 0 under GOMAXPROCS(1) ran %d workers, want 1", res.Workers)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"io"
 )
 
-// JSONLCandidate is the JSONL record schema shared by every
-// candidate-listing surface: `ratsim explore -jsonl`, `ratctl explore
-// -jsonl` and the ratd `?stream=jsonl` candidate lines all derive
-// from it, so the CI cluster-smoke job can diff distributed output
-// against single-node output byte for byte.
+// JSONLCandidate is the JSONL record schema of the explore CLIs:
+// `ratsim explore -jsonl` and `ratctl explore -jsonl` both write it,
+// so the CI cluster-smoke job can diff distributed output against
+// single-node output byte for byte. ratd's `?stream=jsonl` lines are
+// api.ExploreLine records carrying an api.Candidate instead.
 type JSONLCandidate struct {
 	Set            string  `json:"set"` // "top" or "frontier"
 	Index          uint64  `json:"index"`

@@ -3,9 +3,10 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"github.com/chrec/rat/internal/telemetry"
 )
 
 func TestTraceHeaderRoundTrip(t *testing.T) {
@@ -79,115 +80,48 @@ func TestTraceStagesValue(t *testing.T) {
 	}
 }
 
+// TestStageBucketBoundaries pins the stage histogram buckets: a
+// registry histogram over StageBounds puts a duration of n
+// nanoseconds in the first bucket whose bound is at least n, from
+// 256 ns doubling, and past the 24th bound in the overflow count.
 func TestStageBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		ns   uint64
-		want int
-	}{
-		{0, 0}, {1, 0}, {256, 0},
-		{257, 1}, {512, 1},
-		{513, 2}, {1024, 2},
-		{1025, 3},
-		{256 << 23, numStageBuckets - 1},
-		{256<<23 + 1, numStageBuckets},
-		{1 << 62, numStageBuckets},
-	}
-	for _, c := range cases {
-		if got := stageBucket(c.ns); got != c.want {
-			t.Errorf("stageBucket(%d) = %d, want %d", c.ns, got, c.want)
-		}
-	}
 	bounds := StageBounds()
-	if len(bounds) != numStageBuckets {
-		t.Fatalf("StageBounds length %d, want %d", len(bounds), numStageBuckets)
+	if len(bounds) != 24 {
+		t.Fatalf("StageBounds length %d, want 24", len(bounds))
+	}
+	if bounds[0] != 256e-9 {
+		t.Errorf("bounds[0] = %g, want 256ns in seconds", bounds[0])
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] != 2*bounds[i-1] {
 			t.Errorf("bounds[%d] = %g, want double of %g", i, bounds[i], bounds[i-1])
 		}
 	}
-	if bounds[0] != 256e-9 {
-		t.Errorf("bounds[0] = %g, want 256ns in seconds", bounds[0])
+	cases := []struct {
+		ns   int64
+		want int // bucket index; len(bounds) is the overflow count
+	}{
+		{0, 0}, {1, 0}, {256, 0},
+		{257, 1}, {512, 1},
+		{513, 2}, {1024, 2},
+		{1025, 3},
+		{256 << 23, 23},
+		{256<<23 + 1, 24},
+		{1 << 62, 24},
 	}
-}
-
-func TestStageSetHistogram(t *testing.T) {
-	var ss StageSet
-	ss.Observe(StageCache, 100*time.Nanosecond)  // bucket 0
-	ss.Observe(StageCache, 300*time.Nanosecond)  // bucket 1
-	ss.Observe(StageCache, 300*time.Nanosecond)  // bucket 1
-	ss.Observe(StageCache, -time.Second)         // clamps to bucket 0
-	ss.Observe(StageCache, 10*time.Second)       // overflow
-	ss.Observe(StageKernel, 500*time.Nanosecond) // other stage untouched
-
-	h := ss.Histogram(StageCache)
-	if h.Count != 5 {
-		t.Errorf("count = %d, want 5", h.Count)
-	}
-	if h.Buckets[0].Count != 2 || h.Buckets[1].Count != 2 {
-		t.Errorf("buckets[0,1] = %d,%d, want 2,2", h.Buckets[0].Count, h.Buckets[1].Count)
-	}
-	if h.Overflow != 1 {
-		t.Errorf("overflow = %d, want 1", h.Overflow)
-	}
-	wantSum := (100 + 300 + 300 + 0 + 10e9) / 1e9
-	if diff := h.Sum - wantSum; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("sum = %g, want %g", h.Sum, wantSum)
-	}
-	if got := ss.Count(StageKernel); got != 1 {
-		t.Errorf("kernel count = %d, want 1", got)
-	}
-	if got := ss.Count(StageEncode); got != 0 {
-		t.Errorf("encode count = %d, want 0", got)
-	}
-}
-
-// TestStageSetConcurrent hammers Observe from many goroutines while a
-// reader snapshots, under -race in CI. Totals must balance exactly
-// once the writers stop.
-func TestStageSetConcurrent(t *testing.T) {
-	var ss StageSet
-	const (
-		workers = 8
-		perW    = 2000
-	)
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				h := ss.Histogram(StageKernel)
-				var n int64
-				for _, b := range h.Buckets {
-					n += b.Count
-				}
-				if n+h.Overflow != h.Count {
-					t.Error("snapshot count does not equal its bucket total")
-					return
-				}
+	for _, c := range cases {
+		h := telemetry.NewRegistry().Histogram("h", bounds)
+		h.Observe(time.Duration(c.ns).Seconds())
+		st := h.Stats()
+		got := len(bounds)
+		for i, b := range st.Buckets {
+			if b.Count == 1 {
+				got = i
 			}
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				ss.Observe(StageKernel, time.Duration(w*1000+i)*time.Nanosecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if got := ss.Count(StageKernel); got != workers*perW {
-		t.Errorf("final count = %d, want %d", got, workers*perW)
+		if got != c.want || (got == len(bounds)) != (st.Overflow == 1) {
+			t.Errorf("%d ns landed in bucket %d (overflow %d), want %d", c.ns, got, st.Overflow, c.want)
+		}
 	}
 }
 

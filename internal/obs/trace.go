@@ -1,19 +1,21 @@
 // Package obs is the request-observability substrate of the RAT
 // prediction service: compact trace identifiers propagated end to end
-// (client -> X-Rat-Trace header -> every serving stage), and sharded,
-// lock-free per-stage latency histograms cheap enough to run on the
-// cached-hit hot path.
+// (client -> X-Rat-Trace header -> every serving stage), the names of
+// the serving stages, and the bucket bounds of their latency
+// histograms, which the server registers as ordinary telemetry
+// registry histograms.
 //
 // The design keeps the instrumented fast path allocation-free: a Trace
 // is a plain value the server embeds in storage it already allocates
-// per request, stage recording is a handful of atomic adds, and header
-// parsing never touches the heap. See docs/OBSERVABILITY.md for the
-// header contract and the exported metric families.
+// per request, and header parsing never touches the heap. See
+// docs/OBSERVABILITY.md for the header contract and the exported
+// metric families.
 package obs
 
 import (
 	"encoding/hex"
 	"math/rand/v2"
+	"strconv"
 	"time"
 )
 
@@ -179,22 +181,7 @@ func (t *Trace) StagesValue() string {
 		}
 		buf = append(buf, s.String()...)
 		buf = append(buf, '=')
-		buf = appendInt(buf, t.stages[s])
+		buf = strconv.AppendInt(buf, t.stages[s], 10)
 	}
 	return string(buf)
-}
-
-// appendInt appends the decimal form of a non-negative int64.
-func appendInt(buf []byte, v int64) []byte {
-	if v <= 0 {
-		return append(buf, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(buf, tmp[i:]...)
 }

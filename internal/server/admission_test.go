@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/chrec/rat/internal/api"
+	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/telemetry"
 )
 
@@ -148,6 +154,64 @@ func TestAdmissionEndpointsIndependent(t *testing.T) {
 	srv.admExplore.release(2)
 	for i := 0; i < 64; i++ {
 		srv.admPredict.release(1)
+	}
+}
+
+// TestEveryEndpointShedsAlike holds each API endpoint's semaphore
+// full and sends it one well-formed request: every endpoint answers
+// 429 with Retry-After: 1 and the same message naming its path, and
+// counts the refusal on its own server.rejected counter.
+func TestEveryEndpointShedsAlike(t *testing.T) {
+	ws := encodeWorksheet(t, paper.PDF1DParams())
+	exploreBody, err := json.Marshal(map[string]any{
+		"worksheet":  json.RawMessage(ws),
+		"clocks_mhz": []float64{50, 100, 150},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	distBody, err := json.Marshal(distExploreRequest([]string{"http://127.0.0.1:1"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	for _, tc := range []struct {
+		path, endpoint string
+		adm            *admission
+		body           []byte
+	}{
+		{"/v1/predict", "predict", srv.admPredict, ws},
+		{"/v1/predict/batch", "batch", srv.admBatch, append(append([]byte("["), ws...), ']')},
+		{"/v1/explore", "explore", srv.admExplore, exploreBody},
+		{"/v1/explore/distributed", "explore", srv.admExplore, distBody},
+	} {
+		held, ok := tc.adm.admit(context.Background(), tc.adm.limit)
+		if !ok {
+			t.Fatalf("%s: could not hold its free semaphore", tc.path)
+		}
+		rejected := srv.Metrics().Counter("server.rejected." + tc.endpoint)
+		before := rejected.Value()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body)))
+		tc.adm.release(held)
+
+		if rec.Code != http.StatusTooManyRequests {
+			t.Errorf("%s: status %d, want 429: %s", tc.path, rec.Code, rec.Body.String())
+			continue
+		}
+		if got := rec.Header().Get("Retry-After"); got != "1" {
+			t.Errorf("%s: Retry-After %q, want \"1\"", tc.path, got)
+		}
+		var e api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: error body does not parse: %v", tc.path, err)
+		}
+		if want := tc.path + " is at its concurrency limit; retry after backoff"; e.Error != want {
+			t.Errorf("%s: message %q, want %q", tc.path, e.Error, want)
+		}
+		if got := rejected.Value() - before; got != 1 {
+			t.Errorf("%s: server.rejected.%s went up by %d, want 1", tc.path, tc.endpoint, got)
+		}
 	}
 }
 

@@ -30,25 +30,16 @@ const maxDistributedWorkers = 64
 // tenanted fleet every shard is charged to the tenant that asked for
 // the exploration.
 func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request) {
-	clk := s.stageClock(w)
-	clk.start()
-	weight, ok := s.admExplore.admit(r.Context(), 1)
+	clk, granted, ok := s.admit(w, r, s.admExplore, 1)
 	if !ok {
-		writeTooBusy(w, "/v1/explore/distributed")
 		return
 	}
-	defer s.admExplore.release(weight)
-	clk.stop(obs.StageAdmission)
-	if err := r.Context().Err(); err != nil {
-		writeError(w, httpStatus(err), err)
-		return
-	}
+	defer s.admExplore.release(granted)
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
+	body, ok := sc.readBody(w, r)
+	if !ok {
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -65,17 +56,9 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	job, err := req.Explore.Prepare(0)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
-		return
-	}
 	// The distributed ceiling is fleet-scale, far above the per-node
 	// one: each shard re-passes the per-node ceiling on its worker.
-	if job.Span > s.cfg.MaxDistributedCandidates {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request asks for %d candidates; this server caps distributed explorations at %d",
-				job.Span, s.cfg.MaxDistributedCandidates))
+	if _, ok := prepareExplore(w, &req.Explore, 0, s.cfg.MaxDistributedCandidates, "distributed explorations"); !ok {
 		return
 	}
 

@@ -88,45 +88,59 @@ func (sc *scratch) intern(b []byte) string {
 }
 
 // readBody slurps the request body into the pooled buffer, enforcing
-// maxBodyBytes. Oversized and unreadable bodies are the caller's fault
-// (ErrSyntax maps to 400).
+// maxBodyBytes. An oversized or unreadable body is the caller's fault:
+// readBody answers it 400 itself and returns ok == false.
 //
 //rat:hotpath
-func (sc *scratch) readBody(body io.Reader) ([]byte, error) {
+func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	buf := sc.body[:0]
-	for {
-		if len(buf) > maxBodyBytes {
-			sc.body = buf
-			return nil, fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, maxBodyBytes)
-		}
+	var err error
+	for err == nil && len(buf) <= maxBodyBytes {
 		if len(buf) == cap(buf) {
-			next := 2 * cap(buf)
-			if next == 0 {
-				next = 4096
-			}
-			if next > maxBodyBytes+1 {
-				next = maxBodyBytes + 1
-			}
-			if next <= cap(buf) {
-				next = cap(buf) + 1
-			}
-			grown := make([]byte, len(buf), next)
+			grown := make([]byte, len(buf), min(max(2*cap(buf), 4096), maxBodyBytes+1))
 			copy(grown, buf)
 			buf = grown
 		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
+		var n int
+		n, err = r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if err != nil {
-			sc.body = buf
-			if errors.Is(err, io.EOF) {
-				if len(buf) > maxBodyBytes {
-					return nil, fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, maxBodyBytes)
-				}
-				return buf, nil
-			}
-			return nil, fmt.Errorf("%w: reading request body: %v", worksheet.ErrSyntax, err)
-		}
 	}
+	sc.body = buf
+	switch {
+	case err != nil && !errors.Is(err, io.EOF):
+		err = fmt.Errorf("%w: reading request body: %v", worksheet.ErrSyntax, err)
+	case len(buf) > maxBodyBytes:
+		err = fmt.Errorf("%w: request body larger than %d bytes", worksheet.ErrSyntax, maxBodyBytes)
+	default:
+		return buf, true
+	}
+	writeError(w, http.StatusBadRequest, err)
+	return nil, false
+}
+
+// admit is the admission stage of every API request: it times the
+// wait for adm, the endpoint's semaphore, and returns the request's
+// stage clock and the grant, which the handler must release. When the
+// request cannot go on, admit answers it and returns ok == false: 429
+// + Retry-After naming the path when the endpoint stays full for the
+// whole wait, or the context's error for a request that ended while
+// it queued (abandoned, never executed late).
+//
+//rat:hotpath
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, adm *admission, weight int64) (clk stageClock, granted int64, ok bool) {
+	clk = s.stageClock(w)
+	clk.start()
+	if granted, ok = adm.admit(r.Context(), weight); !ok {
+		writeTooBusy(w, r.URL.Path) // the mux routes exact paths only
+		return clk, 0, false
+	}
+	clk.stop(obs.StageAdmission)
+	if err := r.Context().Err(); err != nil {
+		adm.release(granted)
+		writeError(w, httpStatus(err), err)
+		return clk, 0, false
+	}
+	return clk, granted, true
 }
 
 // multiConfigFromQuery parses the optional devices/topology query
@@ -166,25 +180,16 @@ func multiConfigFromQuery(devicesQ, topologyQ string) (core.MultiConfig, error) 
 //
 //rat:hotpath
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	clk := s.stageClock(w)
-	clk.start()
-	weight, ok := s.admPredict.admit(r.Context(), 1)
+	clk, granted, ok := s.admit(w, r, s.admPredict, 1)
 	if !ok {
-		writeTooBusy(w, "/v1/predict")
 		return
 	}
-	defer s.admPredict.release(weight)
-	clk.stop(obs.StageAdmission)
-	if err := r.Context().Err(); err != nil {
-		writeError(w, httpStatus(err), err) // admitted after disconnect: abandon, never execute late
-		return
-	}
+	defer s.admPredict.release(granted)
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
+	body, ok := sc.readBody(w, r)
+	if !ok {
 		return
 	}
 	binReq := r.Header.Get("Content-Type") == wire.ContentTypeBinary
@@ -205,6 +210,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var p core.Parameters
+	var err error
 	if binReq {
 		p, err = wire.DecodeBinaryWorksheet(body, sc.internFn)
 	} else {
@@ -227,43 +233,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The kernel is the validating core.Predict/PredictMulti, which
 	// also refuses a result that overflowed to a non-finite number: the
 	// worksheet's fault (400), caught before anything is rendered or
-	// cached.
-	sc.out = sc.out[:0]
+	// cached. One device answers with the plain prediction, which is
+	// the multi-FPGA answer's N=1 baseline.
+	var mp core.MultiPrediction
+	clk.start()
 	if cfg.Devices == 1 {
-		var pr core.Prediction
-		clk.start()
-		pr, err = core.Predict(p)
-		clk.stop(obs.StageKernel)
-		if err != nil {
-			writeError(w, httpStatus(err), err)
-			return
-		}
-		clk.start()
-		apiPr := api.PredictionFromCore(pr)
-		if binResp {
-			sc.out = wire.AppendBinaryPrediction(sc.out, &apiPr)
-		} else {
-			sc.out, err = wire.AppendPrediction(sc.out, &apiPr)
-		}
-		clk.stop(obs.StageEncode)
+		mp.Single, err = core.Predict(p)
 	} else {
-		var mp core.MultiPrediction
-		clk.start()
 		mp, err = core.PredictMulti(p, cfg)
-		clk.stop(obs.StageKernel)
-		if err != nil {
-			writeError(w, httpStatus(err), err)
-			return
-		}
-		clk.start()
-		apiMp := api.MultiPredictionFromCore(mp)
-		if binResp {
-			sc.out = wire.AppendBinaryMultiPrediction(sc.out, &apiMp)
-		} else {
-			sc.out, err = wire.AppendMultiPrediction(sc.out, &apiMp)
-		}
-		clk.stop(obs.StageEncode)
 	}
+	clk.stop(obs.StageKernel)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return
+	}
+	clk.start()
+	sc.out, err = appendPrediction(sc.out[:0], &mp, cfg.Devices > 1, binResp)
+	clk.stop(obs.StageEncode)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -273,6 +259,25 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	clk.setHeader(w, r)
 	writeBody(w, sc.out, binResp)
+}
+
+// appendPrediction renders a /v1/predict answer in the negotiated
+// format: mp itself when multi, otherwise its single-device baseline.
+//
+//rat:hotpath
+func appendPrediction(out []byte, mp *core.MultiPrediction, multi, binary bool) ([]byte, error) {
+	if multi {
+		apiMp := api.MultiPredictionFromCore(*mp)
+		if binary {
+			return wire.AppendBinaryMultiPrediction(out, &apiMp), nil
+		}
+		return wire.AppendMultiPrediction(out, &apiMp)
+	}
+	apiPr := api.PredictionFromCore(mp.Single)
+	if binary {
+		return wire.AppendBinaryPrediction(out, &apiPr), nil
+	}
+	return wire.AppendPrediction(out, &apiPr)
 }
 
 // slab is the pooled parameter/prediction storage of one
@@ -295,28 +300,25 @@ var batchSlabs = sync.Pool{New: func() any { return &slab{} }}
 //
 //rat:hotpath
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	clk := s.stageClock(w)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
+	body, ok := sc.readBody(w, r)
+	if !ok {
 		return
 	}
 	sl := batchSlabs.Get().(*slab)
 	defer batchSlabs.Put(sl)
+	var err error
 	sl.ps = sl.ps[:0]
 	if r.Header.Get("Content-Type") == wire.ContentTypeBinary {
 		sl.ps, err = wire.DecodeBinaryWorksheetBatch(body, sl.ps, sc.internFn)
 	} else {
 		sl.ps, err = wire.DecodeWorksheetDocs(body, sl.ps, sc.internFn)
 	}
-	if err != nil {
-		writeError(w, httpStatus(err), err)
-		return
+	if err == nil && len(sl.ps) == 0 {
+		err = fmt.Errorf("%w: batch is empty", core.ErrInvalidParameters)
 	}
-	if len(sl.ps) == 0 {
-		err := fmt.Errorf("%w: batch is empty", core.ErrInvalidParameters)
+	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
@@ -324,9 +326,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The tenancy layer charged 1 token before the body was readable;
 	// top up to 1 per worksheet now that the count is known.
 	if sw, ok := w.(*statusWriter); ok && sw.member != nil && len(sl.ps) > 1 {
-		if ok, retry := sw.member.Bucket().Take(time.Now(), float64(len(sl.ps)-1)); !ok {
-			sw.tstat.rejectQuota.Inc()
-			writeQuotaExceeded(w, sw.member.Name, retry)
+		if !s.tenancy.charge(sw, sw.member, sw.tstat, float64(len(sl.ps)-1), time.Now()) {
 			return
 		}
 	}
@@ -334,18 +334,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Weight admission by worksheet count: a 1000-worksheet batch
 	// holds proportionally more of the endpoint's capacity than a
 	// 2-worksheet one (clamped to the endpoint limit).
-	clk.start()
-	weight, ok := s.admBatch.admit(r.Context(), int64(len(sl.ps)))
+	clk, granted, ok := s.admit(w, r, s.admBatch, int64(len(sl.ps)))
 	if !ok {
-		writeTooBusy(w, "/v1/predict/batch")
 		return
 	}
-	defer s.admBatch.release(weight)
-	clk.stop(obs.StageAdmission)
-	if err := r.Context().Err(); err != nil {
-		writeError(w, httpStatus(err), err) // admitted after the deadline: abandon, never execute late
-		return
-	}
+	defer s.admBatch.release(granted)
 
 	if cap(sl.out) < len(sl.ps) {
 		sl.out = make([]core.Prediction, len(sl.ps))
@@ -384,35 +377,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // read into pooled scratch and decoded by internal/wire, the grid is
 // compiled once, the engine runs under the request context, and the
 // response is rendered by internal/wire. The candidate ceiling is
-// server-enforced; grids beyond it are refused outright (413) rather
-// than queued, because no deadline could save them. With
-// ?stream=jsonl the response is JSONL: top candidates, then frontier
-// candidates when requested, then a summary line.
+// server-enforced (see prepareExplore). With ?stream=jsonl the
+// response is JSONL: top candidates, then frontier candidates when
+// requested, then a summary line.
 //
 // The engine checks the request context at every shard boundary, so
 // a client that leaves or a deadline that passes stops it within one
 // shard (a 504), and the admission slot is released only once the
 // engine has returned.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	clk := s.stageClock(w)
-	clk.start()
-	weight, ok := s.admExplore.admit(r.Context(), 1)
+	clk, granted, ok := s.admit(w, r, s.admExplore, 1)
 	if !ok {
-		writeTooBusy(w, "/v1/explore")
 		return
 	}
-	defer s.admExplore.release(weight)
-	clk.stop(obs.StageAdmission)
-	if err := r.Context().Err(); err != nil {
-		writeError(w, httpStatus(err), err) // admitted after the deadline: abandon, never execute late
-		return
-	}
+	defer s.admExplore.release(granted)
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	body, err := sc.readBody(r.Body)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
+	body, ok := sc.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := wire.DecodeExploreRequest(body)
@@ -420,15 +403,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	job, err := req.Prepare(s.exploreWorkers)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	if job.Span > s.cfg.MaxExploreCandidates {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request asks for %d candidates; this server caps explorations at %d",
-				job.Span, s.cfg.MaxExploreCandidates))
+	job, ok := prepareExplore(w, &req, s.exploreWorkers, s.cfg.MaxExploreCandidates, "explorations")
+	if !ok {
 		return
 	}
 	var stream, wantSpans bool
@@ -469,6 +445,26 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, sc.out, false)
 }
 
+// prepareExplore is the one validation stage of both explore
+// endpoints: api.ExploreRequest.Prepare with the given engine worker
+// count, then the candidate ceiling, whose 413 names what it caps.
+// Grids beyond the ceiling are refused outright rather than queued,
+// because no deadline could save them. prepareExplore answers every
+// refusal itself and returns ok == false.
+func prepareExplore(w http.ResponseWriter, req *api.ExploreRequest, workers int, ceiling uint64, what string) (job api.ExploreJob, ok bool) {
+	job, err := req.Prepare(workers)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return job, false
+	}
+	if job.Span > ceiling {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request asks for %d candidates; this server caps %s at %d", job.Span, what, ceiling))
+		return job, false
+	}
+	return job, true
+}
+
 // handleHealthz reports liveness: the process is up and serving.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -491,9 +487,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // listing of internal/telemetry — the same listing ratsim -metrics
 // prints. Prometheus scrapers (Accept naming format 0.0.4 or
 // OpenMetrics, or ?format=prometheus) get the exposition format
-// instead; both views include the rat_stage_seconds histograms.
+// instead. Scraping sets the rat_uptime_seconds gauge.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.promSnapshot()
+	s.uptime.Set(time.Since(s.start).Seconds())
+	snap := s.reg.Snapshot()
 	var buf bytes.Buffer
 	if wantsProm(r) {
 		if err := telemetry.WriteProm(&buf, snap); err != nil {

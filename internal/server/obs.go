@@ -114,7 +114,7 @@ func (m *redMetrics) observe(ep endpointClass, code int, elapsed time.Duration) 
 // reads between admission and write. It is a plain value on the
 // handler's stack: no closure, no interface, no allocation.
 type stageClock struct {
-	stages *obs.StageSet
+	stages *[obs.NumStages]*telemetry.Histogram
 	tr     *obs.Trace // nil when untraced: every method is a no-op
 	t0     time.Time
 }
@@ -152,7 +152,7 @@ func (c *stageClock) lap(st obs.Stage) { c.record(st, time.Since(c.t0)) }
 // engine times its own run).
 func (c *stageClock) record(st obs.Stage, d time.Duration) {
 	if c.tr != nil {
-		c.stages.Observe(st, d)
+		c.stages[st].Observe(d.Seconds())
 		c.tr.Add(st, d)
 	}
 }
@@ -229,7 +229,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for _, stg := range obs.Stages() {
-		hs := s.stages.Histogram(stg)
+		hs := s.stages[stg].Stats()
 		st.Stages[stg.String()] = api.StageStatus{
 			Count: hs.Count,
 			P50Us: hs.Quantile(0.50) * 1e6,
@@ -256,22 +256,4 @@ func wantsProm(r *http.Request) bool {
 	accept := r.Header.Get("Accept")
 	return strings.Contains(accept, "version=0.0.4") ||
 		strings.Contains(accept, "openmetrics")
-}
-
-// promSnapshot augments the registry snapshot with the StageSet's
-// histograms under the rat_stage_seconds family, so both exposition
-// formats see the same data.
-func (s *Server) promSnapshot() telemetry.Snapshot {
-	snap := s.reg.Snapshot()
-	if snap.Histograms == nil {
-		snap.Histograms = map[string]telemetry.HistogramStats{}
-	}
-	for _, stg := range obs.Stages() {
-		snap.Histograms[`rat_stage_seconds{stage="`+stg.String()+`"}`] = s.stages.Histogram(stg)
-	}
-	if snap.Gauges == nil {
-		snap.Gauges = map[string]float64{}
-	}
-	snap.Gauges["rat_uptime_seconds"] = time.Since(s.start).Seconds()
-	return snap
 }

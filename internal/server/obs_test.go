@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -432,7 +433,7 @@ func TestStageAccountingPerRoute(t *testing.T) {
 		if tc.warm {
 			serve(false)
 			for _, st := range obs.Stages() {
-				if n := srv.stages.Count(st); n != 0 {
+				if n := srv.stages[st].Stats().Count; n != 0 {
 					t.Errorf("%s: untraced request recorded stage %s %d times", tc.name, st, n)
 				}
 			}
@@ -445,12 +446,144 @@ func TestStageAccountingPerRoute(t *testing.T) {
 					want = 1
 				}
 			}
-			if n := srv.stages.Count(st); n != want {
+			if n := srv.stages[st].Stats().Count; n != want {
 				t.Errorf("%s: stage %s recorded %d times, want %d", tc.name, st, n, want)
 			}
 		}
 		if got := rec.Header().Get(obs.StagesHeader); !strings.Contains(got, "batch_wait=0;") {
 			t.Errorf("%s: X-Rat-Stages %q does not report batch_wait=0", tc.name, got)
+		}
+	}
+}
+
+// TestStageSecondsExposition pins the shape of the rat_stage_seconds
+// family in both /metrics views and the stages schema of /v1/status:
+// the five stage labels, each with 24 finite buckets from 2.56e-07 s
+// doubling, then +Inf. Sums are not pinned, only counts.
+func TestStageSecondsExposition(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(predictBody(t)))
+	req.Header.Set(obs.TraceHeader, obs.FormatTraceHeader(obs.NewTraceID(), obs.NewSpanID()))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("predict status %d", rec.Code)
+	}
+	stages := []string{"admission", "cache", "batch_wait", "kernel", "encode"}
+	wantCount := map[string]string{"admission": "1", "cache": "1", "batch_wait": "0", "kernel": "1", "encode": "1"}
+	checkBounds := func(view, stage string, les []string) {
+		t.Helper()
+		if len(les) != 24 {
+			t.Errorf("%s: stage %s has %d finite buckets, want 24", view, stage, len(les))
+			return
+		}
+		if les[0] != "2.56e-07" {
+			t.Errorf("%s: stage %s first bound %s, want 2.56e-07", view, stage, les[0])
+		}
+		for i := 1; i < len(les); i++ {
+			prev, err1 := strconv.ParseFloat(les[i-1], 64)
+			cur, err2 := strconv.ParseFloat(les[i], 64)
+			if err1 != nil || err2 != nil || cur != 2*prev {
+				t.Errorf("%s: stage %s bound %d is %s, want double of %s", view, stage, i, les[i], les[i-1])
+			}
+		}
+	}
+
+	// Prometheus view.
+	req = httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	req.Header.Set("Accept", "text/plain; version=0.0.4")
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	prom := rec.Body.String()
+	if !strings.Contains(prom, "# TYPE rat_stage_seconds histogram\n") {
+		t.Error("exposition lacks the rat_stage_seconds histogram family")
+	}
+	les := map[string][]string{}
+	for _, line := range strings.Split(prom, "\n") {
+		rest, ok := strings.CutPrefix(line, `rat_stage_seconds_bucket{stage="`)
+		if !ok {
+			continue
+		}
+		stage, rest, _ := strings.Cut(rest, `",le="`)
+		le, _, _ := strings.Cut(rest, `"}`)
+		les[stage] = append(les[stage], le)
+	}
+	if len(les) != len(stages) {
+		t.Errorf("prometheus: stage labels %v, want %v", les, stages)
+	}
+	for _, stage := range stages {
+		got := les[stage]
+		if len(got) == 0 || got[len(got)-1] != "+Inf" {
+			t.Errorf("prometheus: stage %s buckets %v do not end in +Inf", stage, got)
+			continue
+		}
+		checkBounds("prometheus", stage, got[:len(got)-1])
+		for _, want := range []string{
+			`rat_stage_seconds_bucket{stage="` + stage + `",le="+Inf"} ` + wantCount[stage] + "\n",
+			`rat_stage_seconds_count{stage="` + stage + `"} ` + wantCount[stage] + "\n",
+			`rat_stage_seconds_sum{stage="` + stage + `"} `,
+		} {
+			if !strings.Contains(prom, want) {
+				t.Errorf("prometheus: missing %q", want)
+			}
+		}
+	}
+
+	// Text listing.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	seen := map[string]bool{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[0] != "histo" || !strings.HasPrefix(f[1], "rat_stage_seconds{") {
+			continue
+		}
+		stage := strings.TrimSuffix(strings.TrimPrefix(f[1], `rat_stage_seconds{stage="`), `"}`)
+		seen[stage] = true
+		if len(f) != 29 || f[2] != "count="+wantCount[stage] || !strings.HasPrefix(f[3], "sum=") ||
+			!strings.HasPrefix(f[28], "over=") {
+			t.Errorf("text: stage %s line has the wrong shape: %q", stage, line)
+			continue
+		}
+		var bounds []string
+		for _, kv := range f[4:28] {
+			le, ok := strings.CutPrefix(kv, "le(")
+			le, _, ok2 := strings.Cut(le, ")=")
+			if !ok || !ok2 {
+				t.Errorf("text: stage %s bucket %q is malformed", stage, kv)
+			}
+			bounds = append(bounds, le)
+		}
+		checkBounds("text", stage, bounds)
+	}
+	if len(seen) != len(stages) {
+		t.Errorf("text: stage labels %v, want %v", seen, stages)
+	}
+
+	// /v1/status schema.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/status", nil))
+	var status struct {
+		Stages map[string]map[string]json.Number `json:"stages"`
+	}
+	dec := json.NewDecoder(rec.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Stages) != len(stages) {
+		t.Errorf("status: stages %v, want %v", status.Stages, stages)
+	}
+	for _, stage := range stages {
+		fields := status.Stages[stage]
+		if len(fields) != 4 || fields["count"].String() != wantCount[stage] {
+			t.Errorf("status: stage %s = %v, want count %s and three quantiles", stage, fields, wantCount[stage])
+		}
+		for _, q := range []string{"p50_us", "p95_us", "p99_us"} {
+			if _, ok := fields[q]; !ok {
+				t.Errorf("status: stage %s lacks %s", stage, q)
+			}
 		}
 	}
 }

@@ -148,8 +148,9 @@ type Server struct {
 
 	panics   *telemetry.Counter
 	requests *telemetry.Counter
+	uptime   *telemetry.Gauge
 	red      *redMetrics
-	stages   obs.StageSet
+	stages   [obs.NumStages]*telemetry.Histogram
 }
 
 // New builds a Server from the configuration.
@@ -166,8 +167,13 @@ func New(cfg Config) *Server {
 		exploreWorkers: max(1, runtime.GOMAXPROCS(0)/cfg.ExploreLimit),
 		panics:         reg.Counter("server.panics"),
 		requests:       reg.Counter("server.requests"),
+		uptime:         reg.Gauge("rat_uptime_seconds"),
 		red:            newRedMetrics(reg),
 		start:          time.Now(),
+	}
+	for _, st := range obs.Stages() {
+		//rat:bounded-labels stage is a fixed enum label
+		s.stages[st] = reg.Histogram(`rat_stage_seconds{stage="`+st.String()+`"}`, obs.StageBounds())
 	}
 	if cfg.Tenants != nil {
 		s.tenancy = newTenancy(reg, cfg.Tenants, cfg.ExploreTokenCost)

@@ -132,9 +132,7 @@ func (t *tenancy) admit(sw *statusWriter, r *http.Request, ep endpointClass, now
 		return false
 	}
 	st := t.stat(member.Name)
-	if ok, retry := member.Bucket().Take(now, t.tokenCost(ep)); !ok {
-		st.rejectQuota.Inc()
-		writeQuotaExceeded(sw, member.Name, retry)
+	if !t.charge(sw, member, st, t.tokenCost(ep), now) {
 		return false
 	}
 	if !member.AcquireSlot() {
@@ -171,11 +169,17 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-// writeQuotaExceeded answers 429 for a tenant over its token-bucket
-// quota, with Retry-After derived from the bucket's actual refill
-// time rather than a fixed guess.
-func writeQuotaExceeded(w http.ResponseWriter, name string, retry time.Duration) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
-	writeError(w, http.StatusTooManyRequests,
-		fmt.Errorf("tenant %q is over its request quota; retry after the indicated delay", name))
+// charge takes cost tokens from the member's bucket at time now. A
+// tenant over its quota is refused: the rejection is counted and charge
+// answers 429 with a Retry-After derived from the bucket's actual
+// refill time rather than a fixed guess, then returns false.
+func (t *tenancy) charge(w http.ResponseWriter, member *tenant.Member, st *tenantStat, cost float64, now time.Time) bool {
+	ok, retry := member.Bucket().Take(now, cost)
+	if !ok {
+		st.rejectQuota.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("tenant %q is over its request quota; retry after the indicated delay", member.Name))
+	}
+	return ok
 }

@@ -446,7 +446,7 @@ func TestTenantMetricsValidProm(t *testing.T) {
 	postPredictAs(t, ts, "bad", paper.PDF1DParams())
 
 	var buf bytes.Buffer
-	if err := telemetry.WriteProm(&buf, srv.promSnapshot()); err != nil {
+	if err := telemetry.WriteProm(&buf, srv.Metrics().Snapshot()); err != nil {
 		t.Fatalf("tenant metrics break the Prometheus exposition: %v", err)
 	}
 	out := buf.String()

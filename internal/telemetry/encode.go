@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -42,13 +41,6 @@ func WriteText(w io.Writer, s Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders a snapshot as indented JSON.
-func WriteJSON(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 func sortedKeys[V any](m map[string]V) []string {
