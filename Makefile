@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-baseline bench-check experiments examples cover clean loadtest obs-smoke tenant-smoke cluster-smoke
+.PHONY: all build test vet lint race bench bench-baseline bench-check experiments examples cover clean loadtest server-smoke obs-smoke tenant-smoke cluster-smoke
 
 all: build vet lint test
 
@@ -66,6 +66,70 @@ loadtest:
 	test $$up = 1 || { echo "loadtest: ratd never became healthy"; exit 1; }; \
 	"$$tmp/ratload" -url http://$(LOADTEST_ADDR) $(LOADTEST_ARGS); \
 	kill -TERM $$pid; wait $$pid
+
+# Black-box smoke of the ratd daemon: probe liveness and readiness,
+# serve the paper's 1-D PDF worksheet and require Table 3's computation
+# time bit for bit (t_comp = 512*768 ops / (20 ops/cycle * 150 MHz) =
+# 131.072 us), replay it as one cache hit, check the Prometheus
+# exposition and /v1/status, post the worksheet to /v1/predict/batch in
+# two spellings (compact, and pretty-printed with one case-folded key)
+# and require the predict answer twice, drive the binary wire format
+# through ratload, then SIGTERM and require a graceful exit 0.
+SERVER_SMOKE_ADDR ?= 127.0.0.1:18086
+server-smoke:
+	@set -e; tmp=$$(mktemp -d); pid=""; \
+	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/ratd ./cmd/ratd; \
+	$(GO) build -o $$tmp/ratload ./cmd/ratload; \
+	"$$tmp/ratd" -addr $(SERVER_SMOKE_ADDR) & pid=$$!; \
+	up=0; for i in $$(seq 1 50); do \
+	  if curl -fs http://$(SERVER_SMOKE_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
+	  sleep 0.1; \
+	done; \
+	test $$up = 1 || { echo "server-smoke: ratd never became healthy"; exit 1; }; \
+	curl -fs http://$(SERVER_SMOKE_ADDR)/healthz; \
+	curl -fs http://$(SERVER_SMOKE_ADDR)/readyz; \
+	printf '%s\n' '{' \
+	  '  "name": "1-D PDF estimation",' \
+	  '  "dataset": {"elements_in": 512, "elements_out": 1, "bytes_per_element": 4},' \
+	  '  "communication": {"ideal_throughput_mbps": 1000, "alpha_write": 0.37, "alpha_read": 0.16},' \
+	  '  "computation": {"ops_per_element": 768, "throughput_proc": 20, "clock_mhz": 150},' \
+	  '  "software": {"tsoft_seconds": 0.578, "iterations": 400}' \
+	  '}' > $$tmp/pdf1d.json; \
+	curl -fs -X POST -H 'Content-Type: application/json' \
+	  --data-binary @$$tmp/pdf1d.json -o $$tmp/pred1.json http://$(SERVER_SMOKE_ADDR)/v1/predict; \
+	cat $$tmp/pred1.json; \
+	grep -q '"t_comp_seconds":0.000131072' $$tmp/pred1.json \
+	  || { echo "server-smoke: t_comp does not match Table 3"; exit 1; }; \
+	curl -fs -X POST -H 'Content-Type: application/json' \
+	  --data-binary @$$tmp/pdf1d.json -o $$tmp/pred2.json http://$(SERVER_SMOKE_ADDR)/v1/predict; \
+	cmp $$tmp/pred1.json $$tmp/pred2.json \
+	  || { echo "server-smoke: replayed predict differs from the first answer"; exit 1; }; \
+	curl -fs http://$(SERVER_SMOKE_ADDR)/v1/status | grep -q '"cache":{"hits":1,' \
+	  || { echo "server-smoke: /v1/status does not count the replay as one cache hit"; exit 1; }; \
+	curl -fs -H 'Accept: text/plain; version=0.0.4' http://$(SERVER_SMOKE_ADDR)/metrics > $$tmp/metrics; \
+	grep -q 'rat_requests_total' $$tmp/metrics \
+	  || { echo "server-smoke: /metrics lacks rat_requests_total"; exit 1; }; \
+	grep -q '# TYPE rat_request_seconds histogram' $$tmp/metrics \
+	  || { echo "server-smoke: /metrics lacks the latency histogram family"; exit 1; }; \
+	curl -fs http://$(SERVER_SMOKE_ADDR)/v1/status | grep -q '"uptime_seconds"' \
+	  || { echo "server-smoke: /v1/status lacks uptime_seconds"; exit 1; }; \
+	{ printf '[%s,' '{"name":"1-D PDF estimation","dataset":{"elements_in":512,"elements_out":1,"bytes_per_element":4},"communication":{"ideal_throughput_mbps":1000,"alpha_write":0.37,"alpha_read":0.16},"computation":{"ops_per_element":768,"throughput_proc":20,"clock_mhz":150},"software":{"tsoft_seconds":0.578,"iterations":400}}'; \
+	  sed 's/"clock_mhz"/"Clock_MHz"/' $$tmp/pdf1d.json; printf ']'; } > $$tmp/batch.json; \
+	grep -q '"Clock_MHz"' $$tmp/batch.json \
+	  || { echo "server-smoke: the batch lacks its case-folded key"; exit 1; }; \
+	curl -fs -X POST -H 'Content-Type: application/json' \
+	  --data-binary @$$tmp/batch.json -o $$tmp/batch_pred.json http://$(SERVER_SMOKE_ADDR)/v1/predict/batch; \
+	P=$$(cat $$tmp/pred1.json); printf '[%s,%s]\n' "$$P" "$$P" > $$tmp/batch_want.json; \
+	cmp $$tmp/batch_pred.json $$tmp/batch_want.json \
+	  || { echo "server-smoke: the batch does not answer the predict answer for both spellings"; exit 1; }; \
+	"$$tmp/ratload" -url http://$(SERVER_SMOKE_ADDR) -wire binary -c 4 -n 50 -duration 30s | tee $$tmp/binload; \
+	grep -q 'wire parity: json and binary predictions identical' $$tmp/binload \
+	  || { echo "server-smoke: binary wire parity check did not pass"; exit 1; }; \
+	grep -q 'HTTP 200: 50' $$tmp/binload \
+	  || { echo "server-smoke: binary-wire requests did not all succeed"; exit 1; }; \
+	kill -TERM $$pid; wait $$pid; \
+	echo "server-smoke: OK"
 
 # Observability smoke: start ratd, drive 100 traced requests through
 # ratload, then assert that every trace ID round-tripped, the stage

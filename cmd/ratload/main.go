@@ -449,8 +449,8 @@ func setWireHeaders(req *http.Request, binary bool) {
 
 // wireParity posts the run's worksheet once in each wire format and
 // compares the decoded predictions with != — bit-for-bit, no
-// tolerance. The printed line is stable: the CI server-smoke job
-// greps it to assert the two encodings answer identically.
+// tolerance. The printed line is stable: `make server-smoke` greps it
+// to assert the two encodings answer identically.
 func wireParity(out io.Writer, client *http.Client, target, apiKey string,
 	p core.Parameters, multi bool) error {
 

@@ -93,7 +93,7 @@ func TestLoadWorksheetFile(t *testing.T) {
 
 // TestLoadWireBinary: -wire binary drives the whole run over the
 // compact frames, printing the pre-flight parity line first. The
-// parity line is the CI server-smoke job's assertion surface, so its
+// parity line is `make server-smoke`'s assertion surface, so its
 // exact text is pinned here.
 func TestLoadWireBinary(t *testing.T) {
 	ts := httptest.NewServer(server.New(server.Config{}).Handler())

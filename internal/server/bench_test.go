@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -247,12 +249,11 @@ func BenchmarkServerExplore(b *testing.B) {
 	}
 }
 
-// batchPayload is a batch-bulk-shaped /v1/predict/batch body: 256
-// worksheets cycling the three case studies, each magnitude scaled by
-// a seeded factor in [1/4, 4], alphas in [0.05, 1] and clocks in
-// [50, 250] MHz, rounded as perfbench rounds them.
-func batchPayload(b *testing.B) []byte {
-	r := rand.New(rand.NewSource(7))
+// batchDocs draws the 256 worksheets of a batch-bulk-shaped body from
+// r: the three case studies in turn, with their own names, each
+// magnitude scaled by a seeded factor in [1/4, 4], alphas in [0.05, 1]
+// and clocks in [50, 250] MHz, rounded as perfbench rounds them.
+func batchDocs(r *rand.Rand) []worksheet.Doc {
 	scale := func(v float64) float64 { return v * math.Exp2(4*r.Float64()-2) }
 	round := func(v, unit float64) float64 { return math.Max(unit, math.Round(v/unit)*unit) }
 	bases := []core.Parameters{paper.PDF1DParams(), paper.PDF2DParams(), paper.MDParams()}
@@ -271,6 +272,10 @@ func batchPayload(b *testing.B) []byte {
 		d.Soft.Iterations = int64(round(scale(float64(d.Soft.Iterations)), 1))
 		docs[i] = d
 	}
+	return docs
+}
+
+func marshalBatch(b *testing.B, docs []worksheet.Doc) []byte {
 	body, err := json.Marshal(docs)
 	if err != nil {
 		b.Fatal(err)
@@ -278,14 +283,78 @@ func batchPayload(b *testing.B) []byte {
 	return body
 }
 
+// batchPayload is one batch-bulk-shaped /v1/predict/batch body.
+func batchPayload(b *testing.B) []byte {
+	return marshalBatch(b, batchDocs(rand.New(rand.NewSource(7))))
+}
+
+// batchHarness is a default-config server's /v1/predict/batch fixture
+// for body.
+func batchHarness(body []byte) *predictHarness {
+	ph := newPredictHarness(New(Config{}).Handler(), body, nil)
+	ph.req.URL.Path, ph.req.RequestURI = "/v1/predict/batch", "/v1/predict/batch"
+	return ph
+}
+
 // BenchmarkServerBatch measures one default-config POST
 // /v1/predict/batch of 256 worksheets in process, JSON both ways: body
 // read, wire decode, the batch kernel, wire encode (20 floats per
-// worksheet), write. Not gated.
+// worksheet), write. It replays one body whose worksheets carry the
+// three case-study names, so every name hits the intern table. Not
+// gated.
 func BenchmarkServerBatch(b *testing.B) {
-	ph := newPredictHarness(New(Config{}).Handler(), batchPayload(b), nil)
-	ph.req.URL.Path, ph.req.RequestURI = "/v1/predict/batch", "/v1/predict/batch"
+	ph := batchHarness(batchPayload(b))
 	ph.warm(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ph.run(b)
+	}
+}
+
+// BenchmarkServerBatchUniqueNames is BenchmarkServerBatch over
+// batch-bulk's name traffic: it cycles 64 bodies whose 16,384
+// worksheets each carry a name of their own, so every name misses the
+// 1,024-name intern table and the table keeps filling up. Not gated.
+func BenchmarkServerBatchUniqueNames(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, 64)
+	for k := range bodies {
+		docs := batchDocs(r)
+		for i := range docs {
+			docs[i].Name = "batch-bulk/" + strconv.Itoa(k*len(docs)+i)
+		}
+		bodies[k] = marshalBatch(b, docs)
+	}
+	ph := batchHarness(nil)
+	next := func(i int) {
+		ph.data = bodies[i%len(bodies)]
+		ph.req.ContentLength = int64(len(ph.data))
+		ph.run(b)
+	}
+	for i := range bodies {
+		next(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next(i)
+	}
+}
+
+// BenchmarkServerBatchFoldedKeys is BenchmarkServerBatch with every
+// member name upper-cased ("CLOCK_MHZ"), which encoding/json matches by
+// case folding: no key matches by its bytes, so each takes the general
+// string path after the byte match misses. It bounds what a miss
+// costs. Not gated.
+func BenchmarkServerBatchFoldedKeys(b *testing.B) {
+	plain := batchHarness(batchPayload(b))
+	plain.run(b)
+	ph := batchHarness(regexp.MustCompile(`"[a-z_]+":`).ReplaceAllFunc(batchPayload(b), bytes.ToUpper))
+	ph.warm(b)
+	if !bytes.Equal(ph.w.buf, plain.w.buf) {
+		b.Fatal("folded keys change the batch answer")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,7 +19,10 @@ import (
 // predict endpoint at both layers. The decoder must classify every
 // failure into the ErrInvalidParameters / ErrSyntax sentinel families
 // (so httpStatus maps it to 400), and the full handler must answer
-// malformed bodies with 400 — never a panic, never a 5xx.
+// malformed bodies with 400 — never a panic, never a 5xx. The same
+// body as a one-element array on /v1/predict/batch must never get a
+// 5xx either, and when both routes serve it, the batch's element is
+// the predict answer byte for byte.
 func FuzzDecodeWorksheetRequest(f *testing.F) {
 	var valid bytes.Buffer
 	if err := worksheet.EncodeJSON(&valid, paper.PDF1DParams()); err != nil {
@@ -44,6 +47,10 @@ func FuzzDecodeWorksheetRequest(f *testing.F) {
 	overflow = strings.Replace(overflow, `"bytes_per_element": 4`, `"bytes_per_element": 1e300`, 1)
 	f.Add(overflow, "", "")
 	f.Add(overflow, "2", "")
+	// Trailing data: a second worksheet, which the batch serves as
+	// element 1, and a stray bracket, which it ignores.
+	f.Add(valid.String()+","+valid.String(), "", "")
+	f.Add(valid.String()+"]", "", "")
 
 	srv := New(Config{CacheSize: -1})
 	handler := srv.Handler()
@@ -65,9 +72,7 @@ func FuzzDecodeWorksheetRequest(f *testing.F) {
 		// panic would fail the fuzz run on its own. (Escaping keeps
 		// hostile bytes as parameter values rather than URL syntax.)
 		q := "?devices=" + url.QueryEscape(devices) + "&topology=" + url.QueryEscape(topology)
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict"+q, strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
+		rec := serve(handler, "/v1/predict"+q, body)
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadRequest:
 		default:
@@ -77,5 +82,32 @@ func FuzzDecodeWorksheetRequest(f *testing.F) {
 		if err != nil && rec.Code == http.StatusOK {
 			t.Fatalf("decoder rejected the request but the handler served it: %v", err)
 		}
+
+		// Layer 3: the batch route on the same server. The two routes
+		// need not agree on 200 against 400: a single worksheet ignores
+		// trailing data, an array element does not.
+		batch := serve(handler, "/v1/predict/batch", "["+body+"]")
+		if batch.Code >= 500 {
+			t.Fatalf("batch answered %d for body %q\nbody: %s", batch.Code, body, batch.Body.String())
+		}
+		if batch.Code != http.StatusOK {
+			return
+		}
+		single := serve(handler, "/v1/predict", body)
+		if single.Code != http.StatusOK {
+			return
+		}
+		p := bytes.TrimSuffix(single.Body.Bytes(), newline)
+		rest, ok := bytes.CutPrefix(batch.Body.Bytes(), append([]byte("["), p...))
+		if !ok || len(rest) == 0 || rest[0] != ',' && rest[0] != ']' {
+			t.Fatalf("batch element 0 is not the predict answer for body %q:\n  predict: %s\n  batch:   %s", body, p, batch.Body.Bytes())
+		}
 	})
+}
+
+// serve answers one POST of body to path.
+func serve(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
 }

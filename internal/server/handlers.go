@@ -34,8 +34,8 @@ func httpStatus(err error) int {
 }
 
 // maxInternedNames bounds the per-scratch worksheet-name intern table;
-// a vocabulary churning past it resets the table rather than growing
-// without bound.
+// a vocabulary churning past it empties the table in place rather than
+// growing without bound.
 const maxInternedNames = 1024
 
 // maxBodyBytes caps request bodies on every POST endpoint; a larger
@@ -79,8 +79,11 @@ func (sc *scratch) intern(b []byte) string {
 	if s, ok := sc.names[string(b)]; ok { // no-alloc map lookup
 		return s
 	}
-	if sc.names == nil || len(sc.names) >= maxInternedNames {
+	switch {
+	case sc.names == nil:
 		sc.names = make(map[string]string, 8)
+	case len(sc.names) >= maxInternedNames:
+		clear(sc.names) // keeps the buckets: a churning vocabulary does not regrow the map
 	}
 	s := string(b)
 	sc.names[s] = s

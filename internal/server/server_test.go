@@ -242,6 +242,27 @@ func TestPredictBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestInternBounded: a churning vocabulary never leaves more than
+// maxInternedNames names in a scratch's table, every name interns to
+// itself, and a repeated name costs no allocation.
+func TestInternBounded(t *testing.T) {
+	sc := &scratch{}
+	for i := 0; i < 3*maxInternedNames; i++ {
+		name := fmt.Sprintf("batch-bulk/pdf1d/%d", i)
+		if got := sc.intern([]byte(name)); got != name {
+			t.Fatalf("intern(%q) = %q", name, got)
+		}
+		if len(sc.names) > maxInternedNames {
+			t.Fatalf("after %d names the table holds %d, want at most %d", i+1, len(sc.names), maxInternedNames)
+		}
+	}
+	repeat := []byte("1-D PDF estimation")
+	sc.intern(repeat)
+	if allocs := testing.AllocsPerRun(100, func() { sc.intern(repeat) }); allocs != 0 {
+		t.Errorf("interning a repeated name allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestExploreEndpoint cross-checks the served exploration against a
 // direct explore.Run and exercises the candidate ceiling and the JSONL
 // streaming mode.

@@ -17,8 +17,16 @@
 //   - One array cursor, open and next, walks batch bodies
 //     (DecodeWorksheetDocs), the explore request's arrays (decodeArray)
 //     and, with '{', every object's members.
+//   - One member-name matcher, key, for the worksheet and explore
+//     objects alike. A key spelled exactly as a member name is matched
+//     by its bytes, without a string scan; any other key takes
+//     scanString, unquoting when needed, and matchField's
+//     exact-then-folded comparison.
 //   - One string decoder, valueString, which interns through the
-//     caller's interner when there is one.
+//     caller's interner when there is one. ratd's interner keeps at
+//     most 1,024 names per pooled request scratch and empties the
+//     table in place when it is full, so a vocabulary that keeps
+//     changing neither grows the table nor makes it regrow.
 //   - One number scan, scanNumber, which gathers up to 19 significant
 //     digits while it checks the grammar. valueFloat64 takes Clinger's
 //     exact fast path from them and valueInteger takes an integer of up
@@ -246,6 +254,12 @@ func (d *jsonDecoder) next(opening byte) (bool, error) {
 
 // key parses a member's `"key":` and returns the key's index in keys.
 // An unknown key is an error: the DisallowUnknownFields contract.
+//
+// A key spelled exactly as a member name is matched by its bytes: no
+// name contains '"' or '\', so a name followed by '"' is the whole,
+// clean key, and the first such name is the one matchField's exact
+// pass would pick. Every other key (escaped, case-folded, unknown or
+// cut short) takes the general string path.
 func (d *jsonDecoder) key(keys [][]byte) (int, error) {
 	d.skipSpace()
 	c, err := d.peek()
@@ -255,17 +269,27 @@ func (d *jsonDecoder) key(keys [][]byte) (int, error) {
 	if c != '"' {
 		return -1, fmt.Errorf("invalid character %q looking for an object key", c)
 	}
-	key, clean, err := d.scanString()
-	if err != nil {
-		return -1, err
+	idx := -1
+	rest := d.data[d.pos+1:]
+	for i, name := range keys {
+		if len(rest) > len(name) && rest[len(name)] == '"' && string(rest[:len(name)]) == string(name) {
+			d.pos += len(name) + 2
+			idx = i
+			break
+		}
 	}
-	if !clean { // an escaped key can still name a field, e.g. "\u006eame"
-		var buf [64]byte
-		key = unquoteAppend(buf[:0], key)
-	}
-	idx := matchField(key, keys)
 	if idx < 0 {
-		return -1, fmt.Errorf("unknown field %q", string(key))
+		key, clean, err := d.scanString()
+		if err != nil {
+			return -1, err
+		}
+		if !clean { // an escaped key can still name a field, e.g. "\u006eame"
+			var buf [64]byte
+			key = unquoteAppend(buf[:0], key)
+		}
+		if idx = matchField(key, keys); idx < 0 {
+			return -1, fmt.Errorf("unknown field %q", string(key))
+		}
 	}
 	d.skipSpace()
 	if c, err = d.peek(); err != nil {

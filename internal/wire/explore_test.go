@@ -63,6 +63,11 @@ func exploreRequestSeeds(t testing.TB) [][]byte {
 		`{"bufferings":["\u0064ouble","single\ud800"]}`, "{\"objective\":\"\xff\"}",
 		`{"topology":5}`, `{"clocks_mhz":"100"}`, `{"clocks_mhz":[[100]]}`, `{"worksheet":[]}`,
 		`{"clocks_mhz":{}}`, `{"unknown":1}`, `{"top_k":01}`, `{"clocks_mhz":[1,]}`,
+		// Near-miss keys (see TestDecodeParityAdversarial).
+		`{"index_lox":1}`, `{"index_lox:1}`, `{"index_l":1}`, `{"top_k_":1}`,
+		"{\"index_l\x5cu006f\":1}", `{"top_k" :1}`, "{\"top_k\"\n:1}", `{"top_k" 1}`,
+		`{"top_k`, `{"top_k"`, `{"clock_mhz":[1]}`, `{"name":"x"}`,
+		`{"worksheet":{"computation":{"clock_mh":1}}}`, `{"worksheet":{"names:"x"}}`,
 	} {
 		seeds = append(seeds, []byte(s))
 	}

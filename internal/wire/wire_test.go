@@ -83,6 +83,19 @@ func TestDecodeParityAdversarial(t *testing.T) {
 		`{"dataset":{"elements_in":512,}}`, `{"dataset" {"elements_in":512}}`,
 		// Unknown fields at top and nested levels.
 		`{"datasets":{}}`, `{"dataset":{"element_count":512}}`, `{"x":1}`,
+		// Near-miss keys, which matching member names by their bytes must
+		// leave to the general path: a name plus a suffix (in the second
+		// and sixth the closing quote comes after the colon, or never), a
+		// proper prefix, an escaped last byte, space or nothing before
+		// the colon, a body that ends inside or right after a name, and
+		// another object's member name.
+		`{"names":"x"}`, `{"names:"x"}`, `{"dataset_":{}}`, `{"nam":"x"}`,
+		`{"computation":{"clock_mh":150}}`, `{"computation":{"clock_mhz_:150}}`,
+		"{\"nam\x5cu0065\":\"x\"}", "{\"computation\":{\"clock_mh\x5cu007a\":150}}",
+		`{"name" :"x"}`, "{\"name\"\n\t:\"x\"}", `{"name" 1}`, `{"name""x"}`, `{"name"}`,
+		`{"name`, `{"name"`, `{"name" `, `{"nam`, `{"name":`,
+		`{"clock_mhz":150}`, `{"dataset":{"name":"x"}}`, `{"software":{"elements_in":1}}`,
+		strings.ReplaceAll(valid, `":`, `" :`),
 		// Numbers: limits, grammar edges, type mismatches.
 		`{"dataset":{"elements_in":9223372036854775807}}`,
 		`{"dataset":{"elements_in":9223372036854775808}}`,
@@ -132,6 +145,11 @@ func worksheetDocsBodies(t testing.TB) []string {
 		// Errors.
 		``, `[`, `[,]`, `[` + valid + `,]`, `[` + valid + ` ` + second + `]`,
 		`[1]`, `["x"]`, `[[]]`, `{}`, `[{"bogus":1}]`, `nullx`,
+		// Near-miss keys (see TestDecodeParityAdversarial).
+		`[{"names":"x"}]`, `[{"dataset_":{}}]`, `[{"dataset_:{}}]`, `[{"nam":"x"}]`,
+		`[{"computation":{"clock_mh":150}}]`, "[{\"nam\x5cu0065\":\"x\"}]",
+		`[{"name" :"x"}]`, `[{"name" 1}]`, `[{"name`, `[{"name"`, `[{"clock_mhz":150}]`,
+		`[` + valid + `,{"name"`, `[` + strings.ReplaceAll(valid, `":`, `" :`) + `]`,
 	}
 }
 
