@@ -200,9 +200,12 @@ tenant-smoke:
 	echo "tenant-smoke: OK"
 
 # Distributed-explore smoke: boot a three-ratd fleet, shard the same
-# grid across 1, 2 and 3 workers with ratctl, and byte-compare every
-# run's JSONL against a single-node `ratsim explore` — the determinism
-# contract of docs/DISTRIBUTED.md, end to end over real HTTP. Then
+# grid across 1, 2 and 3 workers with ratctl, and through one ratd
+# with -via, and byte-compare every run's JSONL against a single-node
+# `ratsim explore` — the determinism contract of docs/DISTRIBUTED.md,
+# end to end over real HTTP. The same grid posted to a ratd's
+# /v1/explore?stream=jsonl must end with its summary line and, minus
+# that line, be byte-identical too: the CLIs print ratd's record. Then
 # kill -9 one worker in the middle of a bigger run and assert the
 # merged output is STILL byte-identical, and finish with ratload's
 # repeated-request parity check through the server-side coordinator.
@@ -240,6 +243,20 @@ cluster-smoke:
 	    || { echo "cluster-smoke: fleet ($$workers) output diverges from single-node"; exit 1; }; \
 	done; \
 	echo "cluster-smoke: 1, 2 and 3 workers byte-identical with single-node"; \
+	"$$tmp/ratctl" explore -workers $$W2,$$W3 -via $$W1 -shard-size 7 -jsonl $$GRID > $$tmp/via.jsonl 2>/dev/null; \
+	cmp -s $$tmp/single.jsonl $$tmp/via.jsonl \
+	  || { echo "cluster-smoke: -via output diverges from single-node"; exit 1; }; \
+	printf '{"worksheet":%s,"clocks_mhz":[75,100,150],"throughput_procs":[10,20,40],"alphas":[0.16,0.37],"block_sizes":[512,2048],"devices":[1,4],"topology":"independent","top_k":10,"frontier":true}\n' \
+	  '{"name":"1-D PDF estimation","dataset":{"elements_in":512,"elements_out":1,"bytes_per_element":4},"communication":{"ideal_throughput_mbps":1000,"alpha_write":0.37,"alpha_read":0.16},"computation":{"ops_per_element":768,"throughput_proc":20,"clock_mhz":150},"software":{"tsoft_seconds":0.578,"iterations":400}}' \
+	  > $$tmp/explore.json; \
+	curl -fs -X POST -H 'Content-Type: application/json' \
+	  --data-binary @$$tmp/explore.json -o $$tmp/ratd.jsonl "$$W1/v1/explore?stream=jsonl"; \
+	tail -n 1 $$tmp/ratd.jsonl | grep -q '^{"kind":"summary"' \
+	  || { echo "cluster-smoke: ratd's explore stream does not end with its summary line"; exit 1; }; \
+	sed '$$d' $$tmp/ratd.jsonl > $$tmp/ratd_candidates.jsonl; \
+	cmp -s $$tmp/single.jsonl $$tmp/ratd_candidates.jsonl \
+	  || { echo "cluster-smoke: ratd's ?stream=jsonl diverges from single-node"; exit 1; }; \
+	echo "cluster-smoke: -via and ratd's ?stream=jsonl (minus its summary) byte-identical with single-node"; \
 	BIG="-case pdf1d -clocks 25,50,75,100,125,150,175,200 -tp 5,10,20,40 -alphas 0.1,0.16,0.25,0.37 -blocks 512,1024,2048,4096 -devices 1,2,4 -topology independent -top 10 -frontier"; \
 	"$$tmp/ratsim" explore $$BIG -jsonl > $$tmp/single_big.jsonl; \
 	"$$tmp/ratctl" explore -workers $$W1,$$W2,$$W3 -shard-size 4 -jsonl $$BIG \

@@ -19,8 +19,8 @@ import (
 // cmdExplore shards a design-space exploration across a ratd fleet
 // and prints the merged result. The output is byte-identical with a
 // single-node `ratsim explore` over the same grid: candidates go to
-// out, while fleet bookkeeping (the summary line in -jsonl mode, the
-// shard statistics) goes to errOut so pipelines can diff out alone.
+// out, and in -jsonl mode the run summary and the -metrics block go to
+// errOut, so pipelines can diff out alone.
 func cmdExplore(args []string, out, errOut io.Writer) error {
 	fs := newFlagSet("explore")
 	workersFlag := fs.String("workers", "", "comma-separated ratd base URLs (required)")
@@ -35,11 +35,14 @@ func cmdExplore(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return cli.WrapUsage(err)
 	}
+	if *via != "" && *metrics {
+		return cli.Usagef("-metrics reports a local coordinator, and with -via the coordinator is %s: read its /metrics instead", *via)
+	}
 	fleet, err := workerFleet(*workersFlag, *key, *shardTimeout)
 	if err != nil {
 		return err
 	}
-	req, _, err := grid.Request(0)
+	job, err := grid.Request(0)
 	if err != nil {
 		return err
 	}
@@ -58,9 +61,9 @@ func cmdExplore(args []string, out, errOut io.Writer) error {
 		reg = telemetry.NewRegistry()
 	}
 	if *via != "" {
-		res, cstats, runErr = runVia(ctx, *via, fleet, req, *shardSize, *maxInflight, *shardTimeout, *key)
+		res, cstats, runErr = runVia(ctx, *via, fleet, job, *shardSize, *maxInflight, *shardTimeout, *key)
 	} else {
-		res, cstats, runErr = runFleet(ctx, fleet, req, *shardSize, *maxInflight, *shardTimeout, reg)
+		res, cstats, runErr = runFleet(ctx, fleet, job, *shardSize, *maxInflight, *shardTimeout, reg)
 	}
 	if runErr != nil {
 		return runErr
@@ -76,11 +79,7 @@ func cmdExplore(args []string, out, errOut io.Writer) error {
 		fmt.Fprintln(out)
 		renderCluster(out, cstats)
 	}
-	if reg != nil {
-		fmt.Fprintln(out, "\nmetrics:")
-		return telemetry.WriteText(out, reg.Snapshot())
-	}
-	return nil
+	return grid.PrintMetrics(out, errOut, reg)
 }
 
 // workerFleet splits the -workers flag and builds its fleet; a URL
@@ -101,7 +100,7 @@ func workerFleet(s, key string, shardTimeout time.Duration) ([]cluster.Remote, e
 
 // runFleet coordinates the exploration locally: internal/cluster
 // schedules shards across the fleet's typed clients.
-func runFleet(ctx context.Context, fleet []cluster.Remote, req api.ExploreRequest,
+func runFleet(ctx context.Context, fleet []cluster.Remote, job api.ExploreJob,
 	shardSize uint64, maxInflight int, shardTimeout time.Duration,
 	reg *telemetry.Registry) (explore.Result, api.ClusterStats, error) {
 
@@ -115,7 +114,7 @@ func runFleet(ctx context.Context, fleet []cluster.Remote, req api.ExploreReques
 	if err != nil {
 		return explore.Result{}, api.ClusterStats{}, err
 	}
-	res, stats, err := coord.Run(ctx, req)
+	res, stats, err := coord.Run(ctx, job)
 	if err != nil {
 		return explore.Result{}, api.ClusterStats{}, err
 	}
@@ -124,10 +123,11 @@ func runFleet(ctx context.Context, fleet []cluster.Remote, req api.ExploreReques
 
 // runVia delegates coordination to a ratd's /v1/explore/distributed
 // endpoint, then re-derives the exact candidates locally from the
-// returned indices: the wire form rounds ClockHz through MHz, so
-// printing wire floats could diverge from a local run in the last
-// bit. Re-evaluating the same indices against the same grid cannot.
-func runVia(ctx context.Context, via string, fleet []cluster.Remote, req api.ExploreRequest,
+// returned indices on the job's grid: the wire form rounds ClockHz
+// through MHz, so printing wire floats could diverge from a local run
+// in the last bit. Re-evaluating the same indices against the same
+// grid cannot.
+func runVia(ctx context.Context, via string, fleet []cluster.Remote, job api.ExploreJob,
 	shardSize uint64, maxInflight int, shardTimeout time.Duration,
 	key string) (explore.Result, api.ClusterStats, error) {
 
@@ -146,7 +146,7 @@ func runVia(ctx context.Context, via string, fleet []cluster.Remote, req api.Exp
 	}
 	c := client.New(via, copts...)
 	resp, err := c.ExploreDistributed(ctx, api.DistributedExploreRequest{
-		Explore:             req,
+		Explore:             job.Request,
 		Workers:             urls,
 		ShardSize:           shardSize,
 		MaxInflight:         maxInflight,
@@ -156,9 +156,6 @@ func runVia(ctx context.Context, via string, fleet []cluster.Remote, req api.Exp
 		return explore.Result{}, api.ClusterStats{}, err
 	}
 
-	// The request passed api's validation, so neither conversion fails.
-	g, _ := req.Grid()
-	opts, _ := req.Options(0)
 	res := explore.Result{
 		Evaluated:        resp.Evaluated,
 		Feasible:         resp.Feasible,
@@ -166,18 +163,18 @@ func runVia(ctx context.Context, via string, fleet []cluster.Remote, req api.Exp
 		Elapsed:          time.Duration(resp.ElapsedSeconds * float64(time.Second)),
 		CandidatesPerSec: resp.CandidatesPerSec,
 	}
-	if res.Top, err = candidatesAt(g, opts.Constraints, resp.Top); err != nil {
+	if res.Top, err = candidatesAt(job, resp.Top); err != nil {
 		return explore.Result{}, api.ClusterStats{}, err
 	}
-	if res.Frontier, err = candidatesAt(g, opts.Constraints, resp.Frontier); err != nil {
+	if res.Frontier, err = candidatesAt(job, resp.Frontier); err != nil {
 		return explore.Result{}, api.ClusterStats{}, err
 	}
 	return res, resp.Cluster, nil
 }
 
-// candidatesAt re-evaluates the wire candidates' indices on the local
-// grid, preserving the response ordering.
-func candidatesAt(g explore.Grid, cons explore.Constraints, wire []api.Candidate) ([]explore.Candidate, error) {
+// candidatesAt re-evaluates the wire candidates' indices on the job's
+// grid under its constraints, preserving the response ordering.
+func candidatesAt(job api.ExploreJob, wire []api.Candidate) ([]explore.Candidate, error) {
 	if len(wire) == 0 {
 		return nil, nil
 	}
@@ -185,7 +182,7 @@ func candidatesAt(g explore.Grid, cons explore.Constraints, wire []api.Candidate
 	for i, c := range wire {
 		indices[i] = c.Index
 	}
-	evaled, err := explore.EvalIndices(g, cons, indices)
+	evaled, err := job.Grid.EvalIndices(job.Options.Constraints, indices)
 	if err != nil {
 		return nil, err
 	}

@@ -76,8 +76,10 @@ func usage(w io.Writer) {
   ratctl status  -workers URL[,URL...] [-key APIKEY] [-timeout 10s]
 
 explore shards the grid across the worker fleet and merges the results
-byte-identically with a single-node run (diff it against
-'ratsim explore -jsonl' on the same grid). With -via, the named ratd
-coordinates instead via POST /v1/explore/distributed.
+byte-identically with a single-node run: -jsonl prints ratd's
+?stream=jsonl candidate lines without the summary line (diff them
+against 'ratsim explore -jsonl' on the same grid). With -via, the named
+ratd coordinates instead via POST /v1/explore/distributed, and its
+/metrics holds the coordinator's telemetry (-metrics is refused).
 `)
 }

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/chrec/rat/internal/api"
-	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/server"
 	"github.com/chrec/rat/internal/worksheet"
@@ -34,11 +36,13 @@ var gridArgs = []string{
 	"-top", "10", "-frontier",
 }
 
-// singleNodeJSONL renders the reference output: what ratsim explore
-// -jsonl prints for the same grid, from the request gridArgs describe.
-func singleNodeJSONL(t *testing.T) string {
+// singleNodeJSONL is the reference output: the ?stream=jsonl body
+// that the ratd at url streams for the request gridArgs describe,
+// without its closing summary line, whose elapsed time differs from
+// run to run.
+func singleNodeJSONL(t *testing.T, url string) string {
 	t.Helper()
-	req := api.ExploreRequest{
+	body, err := json.Marshal(api.ExploreRequest{
 		Worksheet:       worksheet.DocFromParams(paper.PDF1DParams()),
 		ClocksMHz:       []float64{75, 100, 150},
 		ThroughputProcs: []float64{10, 20, 40},
@@ -48,34 +52,31 @@ func singleNodeJSONL(t *testing.T) string {
 		Topology:        "independent",
 		TopK:            10,
 		Frontier:        true,
-	}
-	g, err := req.Grid()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, err := req.Options(1)
+	resp, err := http.Post(url+"/v1/explore?stream=jsonl", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explore.Run(g, opts)
-	if err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	stream, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || len(stream) == 0 {
+		t.Fatalf("ratd stream: HTTP %d, %v: %s", resp.StatusCode, err, stream)
 	}
-	var buf bytes.Buffer
-	if err := explore.WriteJSONL(&buf, "top", res.Top); err != nil {
-		t.Fatal(err)
+	cut := bytes.LastIndexByte(stream[:len(stream)-1], '\n') + 1
+	if !bytes.HasPrefix(stream[cut:], []byte(`{"kind":"summary"`)) {
+		t.Fatalf("ratd stream does not end with its summary line: %s", stream[cut:])
 	}
-	if err := explore.WriteJSONL(&buf, "frontier", res.Frontier); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return string(stream[:cut])
 }
 
 // TestExploreJSONLByteIdentical: ratctl explore -jsonl over 1, 2 and
 // 3 workers emits byte-for-byte the single-node JSONL.
 func TestExploreJSONLByteIdentical(t *testing.T) {
-	want := singleNodeJSONL(t)
 	urls := startFleet(t, 3)
+	want := singleNodeJSONL(t, urls[0])
 	for n := 1; n <= len(urls); n++ {
 		args := append([]string{"explore",
 			"-workers", strings.Join(urls[:n], ","),
@@ -93,11 +94,29 @@ func TestExploreJSONLByteIdentical(t *testing.T) {
 	}
 }
 
+// TestExploreJSONLMetrics: with -jsonl, the -metrics block goes to
+// stderr beside the summary line, and stdout stays the single-node
+// JSONL.
+func TestExploreJSONLMetrics(t *testing.T) {
+	urls := startFleet(t, 1)
+	args := append([]string{"explore", "-workers", urls[0], "-jsonl", "-metrics"}, gridArgs...)
+	var out, errOut bytes.Buffer
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if out.String() != singleNodeJSONL(t, urls[0]) {
+		t.Errorf("-metrics changed the JSONL on stdout:\n%s", out.String())
+	}
+	if !strings.Contains(errOut.String(), "cluster.shards_completed") {
+		t.Errorf("-metrics block missing from stderr: %q", errOut.String())
+	}
+}
+
 // TestExploreViaCoordinator: -via delegates to the server-side
 // coordinator and still prints byte-identical JSONL.
 func TestExploreViaCoordinator(t *testing.T) {
-	want := singleNodeJSONL(t)
 	urls := startFleet(t, 3)
+	want := singleNodeJSONL(t, urls[0])
 	args := append([]string{"explore",
 		"-workers", strings.Join(urls[1:], ","),
 		"-via", urls[0],
@@ -161,6 +180,7 @@ func TestUsageContract(t *testing.T) {
 		{"explore", "-workers", "http://"},   // no host
 		{"explore", "-workers", "http://h", "-buffering", "sometimes"},
 		{"explore", "-workers", "http://h", "-nope"},
+		{"explore", "-workers", "http://h", "-via", "http://c", "-metrics"}, // the coordinator's /metrics has them
 		{"status"},
 		{"status", "-workers", "http://"},
 	}

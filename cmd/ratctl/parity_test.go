@@ -29,6 +29,35 @@ func worksheetFile(t *testing.T, p core.Parameters) string {
 	return path
 }
 
+// buildRatsim builds the ratsim command into a temporary directory and
+// returns its path.
+func buildRatsim(t *testing.T) string {
+	t.Helper()
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("building ratsim needs the go command: %v", err)
+	}
+	ratsim := filepath.Join(t.TempDir(), "ratsim")
+	if out, err := exec.Command(goTool, "build", "-o", ratsim, "github.com/chrec/rat/cmd/ratsim").CombinedOutput(); err != nil {
+		t.Fatalf("go build ratsim: %v\n%s", err, out)
+	}
+	return ratsim
+}
+
+// TestRatsimJSONLMatchesRatd: ratsim explore -jsonl prints ratd's
+// ?stream=jsonl body for the same grid, without its summary line, byte
+// for byte: the explore CLIs and ratd write one record.
+func TestRatsimJSONLMatchesRatd(t *testing.T) {
+	want := singleNodeJSONL(t, startFleet(t, 1)[0])
+	out, err := exec.Command(buildRatsim(t), append([]string{"explore", "-case", "pdf1d", "-jsonl"}, gridArgs...)...).Output()
+	if err != nil {
+		t.Fatalf("ratsim explore -jsonl: %v", err)
+	}
+	if string(out) != want {
+		t.Errorf("ratsim explore -jsonl diverges from ratd's stream:\n got  %s\n want %s", out, want)
+	}
+}
+
 // exitClass names how an explore command line ended: "usage" (exit 2),
 // "input" (exit 1 before any worker was contacted) or "accepted"
 // (ratsim ran it; ratctl got as far as its unreachable fleet).
@@ -52,14 +81,7 @@ func exitClass(code int, stderr string) string {
 // as a built binary; ratctl runs in process against an unreachable
 // fleet, so a refusal shows that it came before any worker call.
 func TestCLIsRejectAlike(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Fatalf("building ratsim needs the go command: %v", err)
-	}
-	ratsim := filepath.Join(t.TempDir(), "ratsim")
-	if out, err := exec.Command(goTool, "build", "-o", ratsim, "github.com/chrec/rat/cmd/ratsim").CombinedOutput(); err != nil {
-		t.Fatalf("go build ratsim: %v\n%s", err, out)
-	}
+	ratsim := buildRatsim(t)
 	overflowing := paper.PDF1DParams()
 	overflowing.Dataset.BytesPerElement = 1e300
 	overflowing.Dataset.ElementsIn = 1 << 40

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"github.com/chrec/rat/internal/cli"
@@ -13,7 +12,7 @@ import (
 // cmdExplore runs the design-space exploration engine over a grid
 // described on the command line, around either a paper case study or a
 // JSON worksheet.
-func cmdExplore(args []string, out io.Writer) error {
+func cmdExplore(args []string, out, errOut io.Writer) error {
 	fs := newFlagSet("explore")
 	grid := explorecli.Register(fs)
 	workers := fs.Int("workers", 0, "worker count (0 = GOMAXPROCS; any value gives identical results)")
@@ -21,7 +20,7 @@ func cmdExplore(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return cli.WrapUsage(err)
 	}
-	_, job, err := grid.Request(*workers)
+	job, err := grid.Request(*workers)
 	if err != nil {
 		return err
 	}
@@ -37,9 +36,5 @@ func cmdExplore(args []string, out io.Writer) error {
 	if err := grid.Print(out, res, "with"); err != nil {
 		return err
 	}
-	if reg != nil {
-		fmt.Fprintln(out, "\nmetrics:")
-		return telemetry.WriteText(out, reg.Snapshot())
-	}
-	return nil
+	return grid.PrintMetrics(out, errOut, reg)
 }

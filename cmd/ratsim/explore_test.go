@@ -2,13 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"github.com/chrec/rat/internal/explore"
+	"github.com/chrec/rat/internal/api"
 	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/worksheet"
 )
@@ -26,33 +27,40 @@ func TestExploreTable(t *testing.T) {
 	}
 }
 
+// TestExploreJSONL: -jsonl writes ratd's candidate lines and nothing
+// else to stdout; the -metrics block goes to stderr.
 func TestExploreJSONL(t *testing.T) {
 	code, out, errOut := runSim(t, "explore", "-case", "md",
-		"-clocks", "75,150", "-buffering", "single", "-top", "3", "-jsonl", "-frontier")
+		"-clocks", "75,150", "-buffering", "single", "-top", "3", "-jsonl", "-frontier", "-metrics")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
 	var tops, fronts int
 	sc := bufio.NewScanner(strings.NewReader(out))
 	for sc.Scan() {
-		var rec explore.JSONLCandidate
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		var line api.ExploreLine
+		if err := dec.Decode(&line); err != nil || line.Candidate == nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
-		switch rec.Set {
+		switch line.Kind {
 		case "top":
 			tops++
 		case "frontier":
 			fronts++
 		default:
-			t.Errorf("unknown set %q", rec.Set)
+			t.Errorf("unknown kind %q", line.Kind)
 		}
-		if rec.Speedup <= 0 || rec.Buffering != "single-buffered" {
-			t.Errorf("implausible record: %+v", rec)
+		if c := line.Candidate; c.Speedup <= 0 || c.Buffering != "single-buffered" {
+			t.Errorf("implausible record: %+v", c)
 		}
 	}
 	if tops != 2 || fronts == 0 {
 		t.Errorf("got %d top and %d frontier records, want 2 and >0", tops, fronts)
+	}
+	if !strings.Contains(errOut, "explore.evaluations") {
+		t.Errorf("stderr lacks the -metrics block:\n%s", errOut)
 	}
 }
 
@@ -149,7 +157,7 @@ func TestExploreHugeTop(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	if n := strings.Count(out, `"set":"top"`); n != 4 {
+	if n := strings.Count(out, `"kind":"top"`); n != 4 {
 		t.Errorf("got %d top records, want all 4 candidates:\n%s", n, out)
 	}
 }

@@ -66,7 +66,7 @@ func run(args []string, out, errOut io.Writer) int {
 	case "synth":
 		err = cmdSynth(args[1:], out)
 	case "explore":
-		err = cmdExplore(args[1:], out)
+		err = cmdExplore(args[1:], out, errOut)
 	case "-h", "-help", "--help", "help":
 		usage(out)
 	default:

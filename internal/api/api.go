@@ -250,22 +250,26 @@ func (r ExploreRequest) Options(workers int) (explore.Options, error) {
 	return opts, nil
 }
 
-// ExploreJob is an explore request made ready to run: its grid
-// compiled once, the candidate span it asks for, and its options.
+// ExploreJob is an explore request made ready to run: the request it
+// was prepared from, its grid compiled once, the candidate span it
+// asks for, and its options. Every explore surface runs a job, so none
+// compiles or validates a request a second time.
 type ExploreJob struct {
+	Request ExploreRequest
 	Grid    *explore.Compiled
 	Span    uint64
 	Options explore.Options
 }
 
 // Prepare is the one validation path of every explore surface (both
-// explore endpoints, the cluster coordinator, ratsim explore and
-// ratctl explore): it builds the request's grid, compiles it once,
-// checks the index range, parses the options with the given engine
-// worker count and refuses non-finite constraints. Every failure wraps
-// core.ErrInvalidParameters, so every surface rejects the same
-// requests. The span is the index range's width when one is set: a
-// sharded request is charged for its slice, not the whole grid.
+// explore endpoints, ratsim explore and ratctl explore; the cluster
+// coordinator runs the job it returns): it builds the request's grid,
+// compiles it once, checks the index range, parses the options with
+// the given engine worker count and refuses non-finite constraints.
+// Every failure wraps core.ErrInvalidParameters, so every surface
+// rejects the same requests. The span is the index range's width when
+// one is set: a sharded request is charged for its slice, not the
+// whole grid.
 func (r *ExploreRequest) Prepare(workers int) (ExploreJob, error) {
 	grid, err := r.Grid()
 	if err != nil {
@@ -292,7 +296,7 @@ func (r *ExploreRequest) Prepare(workers int) (ExploreJob, error) {
 	if err != nil {
 		return ExploreJob{}, fmt.Errorf("%w: %v", core.ErrInvalidParameters, err)
 	}
-	return ExploreJob{Grid: c, Span: span, Options: opts}, nil
+	return ExploreJob{Request: *r, Grid: c, Span: span, Options: opts}, nil
 }
 
 // Candidate is the wire form of one evaluated design point.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/chrec/rat/internal/core"
@@ -120,7 +121,8 @@ func TestExploreRequestGrid(t *testing.T) {
 }
 
 // TestPrepare: the one explore validation path compiles the grid once,
-// charges a sharded request for its slice, and refuses non-finite
+// keeps the request it prepared, charges a sharded request for its
+// slice, and refuses an index range past the grid and non-finite
 // constraints, which JSON cannot carry to ratd but a CLI flag can,
 // with ErrInvalidParameters.
 func TestPrepare(t *testing.T) {
@@ -136,6 +138,9 @@ func TestPrepare(t *testing.T) {
 	if job.Span != 6 || job.Grid.Size() != 6 || job.Options.Workers != 3 || job.Options.Objective != explore.MinTRC {
 		t.Errorf("job = span %d, grid %d, options %+v", job.Span, job.Grid.Size(), job.Options)
 	}
+	if !reflect.DeepEqual(job.Request, base) {
+		t.Errorf("job.Request = %+v, want the request it was prepared from", job.Request)
+	}
 	shard := base
 	shard.IndexLo, shard.IndexHi = 2, 5
 	if job, err := shard.Prepare(0); err != nil || job.Span != 3 {
@@ -143,6 +148,7 @@ func TestPrepare(t *testing.T) {
 	}
 
 	for _, mod := range []func(*ExploreRequest){
+		func(r *ExploreRequest) { r.IndexLo, r.IndexHi = 2, 100000 },
 		func(r *ExploreRequest) { r.MinSpeedup = math.NaN() },
 		func(r *ExploreRequest) { r.MaxTRCSeconds = math.Inf(1) },
 		func(r *ExploreRequest) { r.MaxUtilComm = math.Inf(-1) },
@@ -150,8 +156,8 @@ func TestPrepare(t *testing.T) {
 		req := base
 		mod(&req)
 		if _, err := req.Prepare(0); !errors.Is(err, core.ErrInvalidParameters) {
-			t.Errorf("constraints %v/%v/%v: Prepare = %v, want ErrInvalidParameters",
-				req.MinSpeedup, req.MaxTRCSeconds, req.MaxUtilComm, err)
+			t.Errorf("range [%d, %d), constraints %v/%v/%v: Prepare = %v, want ErrInvalidParameters",
+				req.IndexLo, req.IndexHi, req.MinSpeedup, req.MaxTRCSeconds, req.MaxUtilComm, err)
 		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package explorecli is the command-line front end of a design-space
 // exploration, shared by ratsim explore (a local run) and ratctl
 // explore (a fleet run): one set of grid, ranking and output flags,
-// the api.ExploreRequest they describe, validated through the path
-// every explore surface takes (api.ExploreRequest.Prepare), and the
-// table and JSONL renderings of a result. Both commands therefore
-// accept and refuse the same command lines with the same exit codes,
-// and ratd answers the same request with the same candidates or the
-// same 400.
+// the api.ExploreJob they describe, prepared through the path every
+// explore surface takes (api.ExploreRequest.Prepare), and the table
+// and JSONL renderings of a result. The JSONL lines are ratd's own
+// ?stream=jsonl candidate lines. Both commands therefore accept and
+// refuse the same command lines with the same exit codes, and ratd
+// answers the same request with the same candidates or the same 400.
 package explorecli
 
 import (
@@ -23,6 +23,8 @@ import (
 	"github.com/chrec/rat/internal/explore"
 	"github.com/chrec/rat/internal/paper"
 	"github.com/chrec/rat/internal/report"
+	"github.com/chrec/rat/internal/telemetry"
+	"github.com/chrec/rat/internal/wire"
 	"github.com/chrec/rat/internal/worksheet"
 )
 
@@ -60,45 +62,49 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Request builds the explore request the parsed flags describe and
-// prepares it with the given engine worker count. The request carries
-// the axes as written (clocks in MHz), so a fleet compiles the grid a
-// local run compiles. A base worksheet file that cannot be read, or
-// whose own numbers are invalid or overflow, is bad input data (exit
-// 1); every other refusal is a usage error (exit 2), raised before any
-// work is done or any worker is contacted.
-func (f *Flags) Request(workers int) (api.ExploreRequest, api.ExploreJob, error) {
+// prepares it with the given engine worker count. The job's request
+// carries the axes as written (clocks in MHz), so a fleet compiles the
+// grid a local run compiles. A base worksheet file that cannot be
+// read, or whose own numbers are invalid or overflow, is bad input
+// data (exit 1); every other refusal is a usage error (exit 2), raised
+// before any work is done or any worker is contacted.
+func (f *Flags) Request(workers int) (api.ExploreJob, error) {
 	req := f.req
 	var err error
 	if req.Worksheet, err = base(f.study, f.path); err != nil {
-		return api.ExploreRequest{}, api.ExploreJob{}, err
+		return api.ExploreJob{}, err
 	}
 	if f.buffering != "both" {
 		req.Bufferings = []string{f.buffering}
 	}
 	job, err := req.Prepare(workers)
 	if err != nil {
-		return api.ExploreRequest{}, api.ExploreJob{}, cli.WrapUsage(err)
+		return api.ExploreJob{}, cli.WrapUsage(err)
 	}
 	f.objective = job.Options.Objective
-	return req, job, nil
+	return job, nil
 }
 
 // JSONL reports whether -jsonl was given.
 func (f *Flags) JSONL() bool { return f.jsonl }
 
 // Print writes a result the way both commands print it: with -jsonl
-// the top candidates and then the frontier as JSONL; otherwise a
-// summary line, whose worker count reads "<how> N workers", then the
-// top-K table and the frontier table.
+// the top candidates and then the frontier as the lines of ratd's
+// ?stream=jsonl, without its summary line, whose elapsed time differs
+// from run to run; otherwise a summary line, whose worker count reads
+// "<how> N workers", then the top-K table and the frontier table. A
+// candidate that cannot be rendered is an error after the lines before
+// it, never a silently shorter stream.
 func (f *Flags) Print(out io.Writer, res explore.Result, how string) error {
 	if f.jsonl {
-		if err := explore.WriteJSONL(out, "top", res.Top); err != nil {
-			return err
+		lines, err := wire.AppendCandidateLines(nil, "top", res.Top)
+		if err == nil && f.req.Frontier {
+			lines, err = wire.AppendCandidateLines(lines, "frontier", res.Frontier)
 		}
-		if f.req.Frontier {
-			return explore.WriteJSONL(out, "frontier", res.Frontier)
+		if _, werr := out.Write(lines); werr != nil {
+			return werr
 		}
-		return nil
+		return err
 	}
 	fmt.Fprintf(out, "explored %d candidates (%d feasible) %s %d workers in %v (%.3g candidates/s)\n\n",
 		res.Evaluated, res.Feasible, how, res.Workers, res.Elapsed.Round(time.Microsecond), res.CandidatesPerSec)
@@ -110,6 +116,20 @@ func (f *Flags) Print(out io.Writer, res explore.Result, how string) error {
 	}
 	fmt.Fprintln(out)
 	return table(out, fmt.Sprintf("Pareto frontier (%d candidates)", len(res.Frontier)), res.Frontier)
+}
+
+// PrintMetrics writes the -metrics block of a run's registry, when
+// there is one: after the tables on out, or on errOut in -jsonl mode,
+// so that stdout holds only JSONL lines.
+func (f *Flags) PrintMetrics(out, errOut io.Writer, reg *telemetry.Registry) error {
+	if reg == nil {
+		return nil
+	}
+	if f.jsonl {
+		out = errOut
+	}
+	fmt.Fprintln(out, "\nmetrics:")
+	return telemetry.WriteText(out, reg.Snapshot())
 }
 
 // base resolves the grid's base worksheet: a JSON worksheet file, kept

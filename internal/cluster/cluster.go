@@ -282,16 +282,15 @@ type run struct {
 	stallSince time.Time
 }
 
-// Run explores the request's grid across the fleet and returns the
-// merged result — bit-for-bit what a single node would return for the
-// same request — plus run statistics. The context bounds the whole
+// Run explores a prepared job across the fleet and returns the merged
+// result — bit-for-bit what a single node would return for the job's
+// request — plus run statistics. Every shard request is job.Request
+// with its own index range, and the merge re-derives candidates on
+// job.Grid; the job must come from api.ExploreRequest.Prepare, which
+// has already validated the request. The context bounds the whole
 // run; cancellation abandons in-flight shards.
-func (c *Coordinator) Run(ctx context.Context, req api.ExploreRequest) (explore.Result, Stats, error) {
-	job, err := req.Prepare(0)
-	if err != nil {
-		return explore.Result{}, Stats{}, fmt.Errorf("cluster: %w", err)
-	}
-	grid, _ := req.Grid() // cannot fail once Prepare built it
+func (c *Coordinator) Run(ctx context.Context, job api.ExploreJob) (explore.Result, Stats, error) {
+	req := job.Request
 	lo, span := req.IndexLo, job.Span
 	hi := lo + span
 	k := job.Options.TopK
@@ -316,7 +315,7 @@ func (c *Coordinator) Run(ctx context.Context, req api.ExploreRequest) (explore.
 	st.stats.Workers = len(st.workers)
 	st.stats.Shards = len(st.shards)
 
-	m := newMerger(grid, job.Options.Constraints, job.Options.Objective, k, req.Frontier)
+	m := newMerger(job.Grid, job.Options.Constraints, job.Options.Objective, k, req.Frontier)
 	res, err := c.schedule(ctx, st, m, req, span)
 	st.finishStats(c.cfg.Workers)
 	if err != nil {

@@ -53,6 +53,16 @@ func singleNode(t *testing.T, req api.ExploreRequest) explore.Result {
 	return res
 }
 
+// prepare makes req the job a coordinator runs.
+func prepare(t *testing.T, req api.ExploreRequest) api.ExploreJob {
+	t.Helper()
+	job, err := req.Prepare(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
 // localWorker is an in-process Worker: it behaves exactly like a
 // remote ratd — evaluating the requested index range and streaming
 // candidate lines in wire form — without a network in between.
@@ -239,7 +249,7 @@ func TestRunMatchesSingleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, stats, err := coord.Run(context.Background(), req)
+			res, stats, err := coord.Run(context.Background(), prepare(t, req))
 			if err != nil {
 				t.Fatalf("workers=%d shardSize=%d: %v", n, shardSize, err)
 			}
@@ -268,7 +278,7 @@ func TestRunWorkerDiesMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := coord.Run(context.Background(), req)
+	res, stats, err := coord.Run(context.Background(), prepare(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +309,7 @@ func TestRunBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := coord.Run(context.Background(), req)
+	res, stats, err := coord.Run(context.Background(), prepare(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +339,7 @@ func TestRunStragglerRedispatch(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, stats, err := coord.Run(ctx, req)
+	res, stats, err := coord.Run(ctx, prepare(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,23 +360,37 @@ func TestRunFleetFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = coord.Run(context.Background(), req)
+	_, _, err = coord.Run(context.Background(), prepare(t, req))
 	if !errors.Is(err, cluster.ErrFleet) {
 		t.Fatalf("Run with a dead fleet = %v, want ErrFleet", err)
 	}
 }
 
 // TestRunInvalidRange: a bad index range is a caller error (wrapped
-// ErrInvalidParameters), rejected before any dispatch.
+// ErrInvalidParameters), rejected before any dispatch. Run takes only
+// a prepared job, so the rejection is Prepare's: an out-of-range
+// request never becomes a job a coordinator could shard. A range that
+// ends exactly at the grid's last candidate is still in range and is
+// sharded to its end.
 func TestRunInvalidRange(t *testing.T) {
+	req := testRequest()
+	req.IndexLo, req.IndexHi = 10, 100000
+	if _, err := req.Prepare(0); !errors.Is(err, core.ErrInvalidParameters) {
+		t.Fatalf("Prepare with out-of-range shard = %v, want ErrInvalidParameters", err)
+	}
+
+	req.IndexHi = 144
 	coord, err := cluster.New(fastConfig(cluster.Remote{Name: "w", W: localWorker{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := testRequest()
-	req.IndexLo, req.IndexHi = 10, 100000
-	if _, _, err := coord.Run(context.Background(), req); !errors.Is(err, core.ErrInvalidParameters) {
-		t.Fatalf("Run with out-of-range shard = %v, want ErrInvalidParameters", err)
+	res, _, err := coord.Run(context.Background(), prepare(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, res, singleNode(t, req))
+	if res.Evaluated != 134 {
+		t.Errorf("Evaluated = %d, want the 134 candidates of [10, 144)", res.Evaluated)
 	}
 }
 
@@ -379,7 +403,7 @@ func TestRunContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := coord.Run(ctx, testRequest()); !errors.Is(err, context.Canceled) {
+	if _, _, err := coord.Run(ctx, prepare(t, testRequest())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with cancelled context = %v, want context.Canceled", err)
 	}
 }
@@ -398,7 +422,7 @@ func TestRunPartialRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := coord.Run(context.Background(), req)
+	res, _, err := coord.Run(context.Background(), prepare(t, req))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 // wire carries indices, not candidate numbers, by design: the JSON
 // form renders clocks in MHz — a division whose last bit need not
 // survive the round trip — so the merger re-derives every surviving
-// candidate's exact numbers locally through explore.EvalIndices. The
-// merged result is then bit-for-bit what a single-node explore.Run
-// would have produced.
+// candidate's exact numbers locally on the compiled grid
+// (explore.Compiled.EvalIndices). The merged result is then bit-for-
+// bit what a single-node explore.Run would have produced.
 type ShardResult struct {
 	// Lo, Hi is the candidate index range [Lo, Hi) the shard covered.
 	Lo, Hi uint64
@@ -46,7 +46,7 @@ type ShardResult struct {
 // global frontier, and one more Pareto pass removes the cross-shard
 // dominated remainder.
 type merger struct {
-	grid     explore.Grid
+	grid     *explore.Compiled
 	cons     explore.Constraints
 	obj      explore.Objective
 	k        int
@@ -62,7 +62,7 @@ type merger struct {
 	frontIdx  map[uint64]bool
 }
 
-func newMerger(grid explore.Grid, cons explore.Constraints, obj explore.Objective, k int, frontier bool) *merger {
+func newMerger(grid *explore.Compiled, cons explore.Constraints, obj explore.Objective, k int, frontier bool) *merger {
 	return &merger{
 		grid: grid, cons: cons, obj: obj, k: k, frontier: frontier,
 		seen:   map[uint64]bool{},
@@ -124,7 +124,7 @@ func (m *merger) eval(set map[uint64]bool, what string) ([]explore.Candidate, er
 	// EvalIndices sorts internally, but hand it a sorted slice anyway
 	// so no map iteration order ever leaves this function.
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	cands, err := explore.EvalIndices(m.grid, m.cons, idxs)
+	cands, err := m.grid.EvalIndices(m.cons, idxs)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: re-evaluating merged %s set: %w", what, err)
 	}

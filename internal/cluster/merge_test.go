@@ -25,6 +25,16 @@ func testGrid() explore.Grid {
 	}
 }
 
+// compile compiles g, the grid a merger re-derives candidates on.
+func compile(t *testing.T, g explore.Grid) *explore.Compiled {
+	t.Helper()
+	c, err := g.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // shardResults evaluates the grid in shards of size step through
 // explore.Run — exactly what a remote worker does for a sharded
 // request — and returns their ShardResults.
@@ -60,6 +70,7 @@ func shardResults(t *testing.T, g explore.Grid, cons explore.Constraints, obj ex
 // single-node result exactly, across objectives, shard sizes and K.
 func TestMergeMatchesSingleNode(t *testing.T) {
 	g := testGrid()
+	c := compile(t, g)
 	cons := explore.Constraints{MinSpeedup: 1}
 	for _, obj := range []explore.Objective{explore.MaxSpeedup, explore.MinTRC, explore.MinCost} {
 		for _, step := range []uint64{1, 7, 16, 50, 144, 1000} {
@@ -70,7 +81,7 @@ func TestMergeMatchesSingleNode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := newMerger(g, cons, obj, k, true)
+				m := newMerger(c, cons, obj, k, true)
 				for _, sr := range shardResults(t, g, cons, obj, k, step) {
 					if !m.add(sr) {
 						t.Fatalf("obj=%v step=%d: add rejected a distinct shard", obj, step)
@@ -102,13 +113,14 @@ func TestMergeMatchesSingleNode(t *testing.T) {
 // order, so the merge must not see it.
 func TestMergeOrderIndependence(t *testing.T) {
 	g := testGrid()
+	c := compile(t, g)
 	cons := explore.Constraints{}
 	obj := explore.MaxSpeedup
 	const k = 10
 	shards := shardResults(t, g, cons, obj, k, 13) // ragged final shard
 
 	ref := func() explore.Result {
-		m := newMerger(g, cons, obj, k, true)
+		m := newMerger(c, cons, obj, k, true)
 		for _, sr := range shards {
 			m.add(sr)
 		}
@@ -129,7 +141,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 		}
 		rnd.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
 
-		m := newMerger(g, cons, obj, k, true)
+		m := newMerger(c, cons, obj, k, true)
 		merged := map[uint64]bool{}
 		for _, sr := range arrivals {
 			if got, want := m.add(sr), !merged[sr.Lo]; got != want {
@@ -153,7 +165,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 func TestMergeIncompleteCoverage(t *testing.T) {
 	g := testGrid()
 	shards := shardResults(t, g, explore.Constraints{}, explore.MaxSpeedup, 10, 16)
-	m := newMerger(g, explore.Constraints{}, explore.MaxSpeedup, 10, false)
+	m := newMerger(compile(t, g), explore.Constraints{}, explore.MaxSpeedup, 10, false)
 	for _, sr := range shards[:len(shards)-1] {
 		m.add(sr)
 	}

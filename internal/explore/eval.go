@@ -2,9 +2,10 @@ package explore
 
 import "slices"
 
-// EvalIndices evaluates exactly the given candidate indices through
-// the same memoized arithmetic as Run and returns the candidates that
-// satisfy cons, sorted by index. Duplicate indices are evaluated once.
+// EvalIndices evaluates exactly the given candidate indices of the
+// compiled grid through the same memoized arithmetic as Run and
+// returns the candidates that satisfy cons, sorted by index. Duplicate
+// indices are evaluated once.
 //
 // It exists for the distributed merge (internal/cluster): shard
 // results travel across the wire as candidate indices, and the
@@ -14,11 +15,7 @@ import "slices"
 // merge. Each index runs through evalShard over the one-element range
 // [idx, idx+1), which is bit-for-bit the whole-grid evaluation of
 // that candidate.
-func EvalIndices(g Grid, cons Constraints, indices []uint64) ([]Candidate, error) {
-	c, err := g.Compile()
-	if err != nil {
-		return nil, err
-	}
+func (c *Compiled) EvalIndices(cons Constraints, indices []uint64) ([]Candidate, error) {
 	sorted := append([]uint64(nil), indices...)
 	slices.Sort(sorted)
 	out := make([]Candidate, 0, len(sorted))

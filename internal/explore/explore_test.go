@@ -567,7 +567,11 @@ func TestShardWindowsMatchWholeGrid(t *testing.T) {
 		for i := range all {
 			all[i] = uint64(i)
 		}
-		want, err := explore.EvalIndices(g, explore.Constraints{}, all)
+		cg, err := g.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cg.EvalIndices(explore.Constraints{}, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +609,7 @@ func TestShardWindowsMatchWholeGrid(t *testing.T) {
 				if got := byIndex(res.Top); !reflect.DeepEqual(got, want[lo:lo+w]) {
 					t.Fatalf("%v: window [%d, %d) differs from the whole grid's candidates", topo, lo, lo+w)
 				}
-				ev, err := explore.EvalIndices(g, explore.Constraints{}, all[lo:lo+w])
+				ev, err := cg.EvalIndices(explore.Constraints{}, all[lo:lo+w])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -58,7 +58,8 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 	}
 	// The distributed ceiling is fleet-scale, far above the per-node
 	// one: each shard re-passes the per-node ceiling on its worker.
-	if _, ok := prepareExplore(w, &req.Explore, 0, s.cfg.MaxDistributedCandidates, "distributed explorations"); !ok {
+	job, ok := prepareExplore(w, &req.Explore, 0, s.cfg.MaxDistributedCandidates, "distributed explorations")
+	if !ok {
 		return
 	}
 
@@ -67,7 +68,7 @@ func (s *Server) handleExploreDistributed(w http.ResponseWriter, r *http.Request
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	res, stats, err := coord.Run(r.Context(), req.Explore)
+	res, stats, err := coord.Run(r.Context(), job)
 	if err != nil {
 		writeError(w, distStatus(err), err)
 		return

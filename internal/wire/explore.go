@@ -13,9 +13,10 @@ import (
 // The /v1/explore codec: DecodeExploreRequest reads the request body
 // as json.Decoder.Decode with DisallowUnknownFields reads it into an
 // api.ExploreRequest (FuzzExploreRequestParity pins it), and
-// AppendExploreResponse and AppendExploreJSONL render the JSON body
-// and every JSONL line kind byte for byte as json.Marshal and
-// json.Encoder render their api structs (FuzzExploreEncodeParity).
+// AppendExploreResponse, AppendExploreJSONL and AppendCandidateLines
+// render the JSON body and every JSONL line kind byte for byte as
+// json.Marshal and json.Encoder render their api structs
+// (FuzzExploreEncodeParity).
 
 // exploreKeys is api.ExploreRequest's member-name table, in struct
 // order.
@@ -171,19 +172,12 @@ func AppendExploreResponse(dst []byte, res *explore.Result, frontier bool) ([]by
 // "summary" line. A line that cannot be rendered (a non-finite number)
 // ends the stream before it, where json.Encoder would fail.
 func AppendExploreJSONL(dst []byte, res *explore.Result, frontier, spans bool) []byte {
-	for i := range res.Top {
-		if !finiteCandidate(&res.Top[i]) {
-			return dst
-		}
-		dst = appendCandidateLine(dst, "top", &res.Top[i])
+	dst, err := AppendCandidateLines(dst, "top", res.Top)
+	if err == nil && frontier {
+		dst, err = AppendCandidateLines(dst, "frontier", res.Frontier)
 	}
-	if frontier {
-		for i := range res.Frontier {
-			if !finiteCandidate(&res.Frontier[i]) {
-				return dst
-			}
-			dst = appendCandidateLine(dst, "frontier", &res.Frontier[i])
-		}
+	if err != nil {
+		return dst
 	}
 	if spans {
 		for i := range res.Spans {
@@ -196,16 +190,26 @@ func AppendExploreJSONL(dst []byte, res *explore.Result, frontier, spans bool) [
 	return appendSummaryLine(dst, res)
 }
 
-// appendCandidateLine appends the JSONL line of one candidate, numbers
-// pre-checked finite.
-//
-//rat:hotpath
-func appendCandidateLine(dst []byte, kind string, cand *explore.Candidate) []byte {
-	dst = append(dst, `{"kind":`...)
-	dst = appendString(dst, kind)
-	dst = append(dst, `,"candidate":`...)
-	dst = appendCandidate(dst, cand)
-	return append(dst, "}\n"...)
+// AppendCandidateLines appends one ?stream=jsonl line of the given kind
+// ("top" or "frontier") per candidate, byte-identical to
+// json.Encoder.Encode of its api.ExploreLine: the one explore record
+// of ratd's stream and of the explore CLIs' -jsonl output. It stops
+// before the first candidate that cannot be rendered (a non-finite
+// number), where json.Encoder would fail, and returns the lines before
+// it with an error naming that candidate.
+func AppendCandidateLines(dst []byte, kind string, cands []explore.Candidate) ([]byte, error) {
+	for i := range cands {
+		c := &cands[i]
+		if !finiteCandidate(c) {
+			return dst, fmt.Errorf("%s candidate %d: %w", kind, c.Index, errNonFinite)
+		}
+		dst = append(dst, `{"kind":`...)
+		dst = appendString(dst, kind)
+		dst = append(dst, `,"candidate":`...)
+		dst = appendCandidate(dst, c)
+		dst = append(dst, "}\n"...)
+	}
+	return dst, nil
 }
 
 // appendSpanLine appends the JSONL line of one shard span. A

@@ -216,6 +216,18 @@ func checkExploreEncodeParity(t *testing.T, res *explore.Result) {
 			}
 		}
 	}
+	// The CLIs' lines: the top lines alone, with the refusal reported.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	var wantErr error
+	for i := 0; i < len(res.Top) && wantErr == nil; i++ {
+		c := api.CandidateFromCore(res.Top[i])
+		wantErr = enc.Encode(api.ExploreLine{Kind: "top", Candidate: &c})
+	}
+	got, err := AppendCandidateLines(nil, "top", res.Top)
+	if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("candidate lines: json %v, wire %v:\n  json: %s\n  wire: %s", wantErr, err, want.Bytes(), got)
+	}
 }
 
 // specialFloats are the values whose rendering has a corner: signed
