@@ -48,6 +48,16 @@ bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictBatch|BenchmarkSweepClock|BenchmarkSimulatePDF1D$$|BenchmarkExplore1Worker|BenchmarkExploreFrontier|BenchmarkServerPredict' -benchmem -benchtime 0.5s -count=1 . ./internal/server \
 	  | $(GO) run ./cmd/benchcheck -compare BENCH_5.json -gate BenchmarkPredict,BenchmarkServerPredictCachedHit,BenchmarkServerPredictBinary,BenchmarkServerPredictTenanted
 
+# wait_healthy polls http://$(1)/healthz every 100 ms, 50 times, and
+# fails the recipe with the message $(2) if ratd never answers.
+define wait_healthy
+up=0; for i in $$(seq 1 50); do \
+	  if curl -fs http://$(1)/healthz >/dev/null 2>&1; then up=1; break; fi; \
+	  sleep 0.1; \
+	done; \
+	test $$up = 1 || { echo "$(2)"; exit 1; }
+endef
+
 # Closed-loop load test against a locally built ratd: start the
 # daemon on LOADTEST_ADDR, wait for /healthz, drive it with ratload,
 # then SIGTERM and verify the graceful drain exits 0.
@@ -59,11 +69,7 @@ loadtest:
 	$(GO) build -o $$tmp/ratd ./cmd/ratd; \
 	$(GO) build -o $$tmp/ratload ./cmd/ratload; \
 	"$$tmp/ratd" -addr $(LOADTEST_ADDR) & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if curl -fs http://$(LOADTEST_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-	  sleep 0.1; \
-	done; \
-	test $$up = 1 || { echo "loadtest: ratd never became healthy"; exit 1; }; \
+	$(call wait_healthy,$(LOADTEST_ADDR),loadtest: ratd never became healthy); \
 	"$$tmp/ratload" -url http://$(LOADTEST_ADDR) $(LOADTEST_ARGS); \
 	kill -TERM $$pid; wait $$pid
 
@@ -82,11 +88,7 @@ server-smoke:
 	$(GO) build -o $$tmp/ratd ./cmd/ratd; \
 	$(GO) build -o $$tmp/ratload ./cmd/ratload; \
 	"$$tmp/ratd" -addr $(SERVER_SMOKE_ADDR) & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if curl -fs http://$(SERVER_SMOKE_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-	  sleep 0.1; \
-	done; \
-	test $$up = 1 || { echo "server-smoke: ratd never became healthy"; exit 1; }; \
+	$(call wait_healthy,$(SERVER_SMOKE_ADDR),server-smoke: ratd never became healthy); \
 	curl -fs http://$(SERVER_SMOKE_ADDR)/healthz; \
 	curl -fs http://$(SERVER_SMOKE_ADDR)/readyz; \
 	printf '%s\n' '{' \
@@ -133,7 +135,9 @@ server-smoke:
 
 # Observability smoke: start ratd, drive 100 traced requests through
 # ratload, then assert that every trace ID round-tripped, the stage
-# histograms are populated, and /v1/status reports the traffic.
+# histograms are populated, /metrics names the in-flight gauge and the
+# panic counter under rat_ and has no summary family, and /v1/status
+# reports the traffic.
 OBS_SMOKE_ADDR ?= 127.0.0.1:18081
 obs-smoke:
 	@set -e; tmp=$$(mktemp -d); pid=""; \
@@ -141,11 +145,7 @@ obs-smoke:
 	$(GO) build -o $$tmp/ratd ./cmd/ratd; \
 	$(GO) build -o $$tmp/ratload ./cmd/ratload; \
 	"$$tmp/ratd" -addr $(OBS_SMOKE_ADDR) & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if curl -fs http://$(OBS_SMOKE_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-	  sleep 0.1; \
-	done; \
-	test $$up = 1 || { echo "obs-smoke: ratd never became healthy"; exit 1; }; \
+	$(call wait_healthy,$(OBS_SMOKE_ADDR),obs-smoke: ratd never became healthy); \
 	"$$tmp/ratload" -url http://$(OBS_SMOKE_ADDR) -c 4 -n 100 -traces 5 -duration 60s | tee $$tmp/report; \
 	grep -q 'traces: 100/100 echoed' $$tmp/report \
 	  || { echo "obs-smoke: trace IDs did not round-trip"; exit 1; }; \
@@ -156,6 +156,12 @@ obs-smoke:
 	  || { echo "obs-smoke: stage histograms are empty"; exit 1; }; \
 	grep -q 'rat_requests_total{code="200",endpoint="predict"} 100' $$tmp/metrics \
 	  || { echo "obs-smoke: request counter does not show the 100 predicts"; exit 1; }; \
+	grep -q 'rat_inflight{endpoint="predict"}' $$tmp/metrics \
+	  || { echo "obs-smoke: /metrics lacks the per-endpoint in-flight gauge"; exit 1; }; \
+	grep -q '^rat_panics_total ' $$tmp/metrics \
+	  || { echo "obs-smoke: /metrics lacks rat_panics_total"; exit 1; }; \
+	! grep '^# TYPE .* summary$$' $$tmp/metrics \
+	  || { echo "obs-smoke: /metrics has a summary family: durations are histograms"; exit 1; }; \
 	curl -fs http://$(OBS_SMOKE_ADDR)/v1/status | grep -q '"predict":{"requests":100' \
 	  || { echo "obs-smoke: /v1/status does not report the traffic"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
@@ -177,11 +183,7 @@ tenant-smoke:
 	  '{"name": "hostile", "key": "smoke-hk", "rate_per_sec": 5, "burst": 5, "max_inflight": 2}]}' \
 	  > $$tmp/tenants.json; \
 	"$$tmp/ratd" -addr $(TENANT_SMOKE_ADDR) -tenants $$tmp/tenants.json & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if curl -fs http://$(TENANT_SMOKE_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-	  sleep 0.1; \
-	done; \
-	test $$up = 1 || { echo "tenant-smoke: ratd never became healthy"; exit 1; }; \
+	$(call wait_healthy,$(TENANT_SMOKE_ADDR),tenant-smoke: ratd never became healthy); \
 	curl -fs -X POST http://$(TENANT_SMOKE_ADDR)/v1/predict -o /dev/null -w '%{http_code}\n' \
 	  | grep -q 401 || { echo "tenant-smoke: keyless request was not rejected with 401"; exit 1; }; \
 	"$$tmp/ratload" -url http://$(TENANT_SMOKE_ADDR) -mix noisy-neighbor \
@@ -223,11 +225,7 @@ cluster-smoke:
 	"$$tmp/ratd" -addr 127.0.0.1:$(CLUSTER_SMOKE_PORT2) & pid2=$$!; \
 	"$$tmp/ratd" -addr 127.0.0.1:$(CLUSTER_SMOKE_PORT3) & pid3=$$!; \
 	for port in $(CLUSTER_SMOKE_PORT1) $(CLUSTER_SMOKE_PORT2) $(CLUSTER_SMOKE_PORT3); do \
-	  up=0; for i in $$(seq 1 50); do \
-	    if curl -fs http://127.0.0.1:$$port/healthz >/dev/null 2>&1; then up=1; break; fi; \
-	    sleep 0.1; \
-	  done; \
-	  test $$up = 1 || { echo "cluster-smoke: ratd on $$port never became healthy"; exit 1; }; \
+	  $(call wait_healthy,127.0.0.1:$$port,cluster-smoke: ratd on $$port never became healthy); \
 	done; \
 	W1=http://127.0.0.1:$(CLUSTER_SMOKE_PORT1); \
 	W2=http://127.0.0.1:$(CLUSTER_SMOKE_PORT2); \

@@ -152,8 +152,8 @@ func TestClientOperationalEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(metrics, "server.requests") {
-		t.Errorf("Metrics output lacks server.requests:\n%s", metrics)
+	if !strings.Contains(metrics, "rat_requests_total") {
+		t.Errorf("Metrics output lacks rat_requests_total:\n%s", metrics)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/chrec/rat/internal/cli"
 	"github.com/chrec/rat/internal/core"
 	"github.com/chrec/rat/internal/methodology"
 	"github.com/chrec/rat/internal/paper"
@@ -22,7 +24,7 @@ import (
 // form, everything else the text form.
 func load(path string) (core.Parameters, error) {
 	if path == "" {
-		return core.Parameters{}, fmt.Errorf("a worksheet file is required (-f)")
+		return core.Parameters{}, cli.Usagef("a worksheet file is required (-f)")
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -47,7 +49,7 @@ func parseClocks(s string) ([]float64, error) {
 	for _, part := range strings.Split(s, ",") {
 		mhz, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad clock %q: %w", part, err)
+			return nil, cli.WrapUsage(fmt.Errorf("bad clock %q: %w", part, err))
 		}
 		out = append(out, core.MHz(mhz))
 	}
@@ -69,7 +71,7 @@ func cmdPredict(args []string, out io.Writer) error {
 	clocks := fs.String("clocks", "", "comma-separated clock sweep in MHz (default: worksheet clock)")
 	alphas := fs.String("alphas", "", "measured alpha-table file; re-derives the worksheet alphas at this design's transfer sizes")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	p, err := load(*file)
 	if err != nil {
@@ -156,7 +158,7 @@ func cmdSolve(args []string, out io.Writer) error {
 	what := fs.String("for", "throughput", "free variable: throughput, clock or alpha")
 	double := fs.Bool("double", false, "double-buffered overlap")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	p, err := load(*file)
 	if err != nil {
@@ -187,7 +189,7 @@ func cmdSolve(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out)
 	default:
-		return fmt.Errorf("unknown solve variable %q (want throughput, clock or alpha)", *what)
+		return cli.Usagef("unknown solve variable %q (want throughput, clock or alpha)", *what)
 	}
 	return nil
 }
@@ -200,7 +202,7 @@ func cmdSweep(args []string, out io.Writer) error {
 	steps := fs.Int("steps", 7, "number of sweep points")
 	double := fs.Bool("double", false, "double-buffered overlap")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	if *steps < 2 || *maxMHz <= *minMHz {
 		return fmt.Errorf("need steps >= 2 and max > min")
@@ -256,7 +258,7 @@ func cmdBounds(args []string, out io.Writer) error {
 	target := fs.Float64("target", 0, "optional speedup goal to classify")
 	double := fs.Bool("double", false, "double-buffered overlap")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	p, err := load(*file)
 	if err != nil {
@@ -287,7 +289,7 @@ func cmdMulti(args []string, out io.Writer) error {
 	independent := fs.Bool("independent", false, "one interconnect per device (default: shared channel)")
 	double := fs.Bool("double", false, "double-buffered overlap")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	if *devices < 1 {
 		return fmt.Errorf("need at least one device")
@@ -335,7 +337,7 @@ func cmdCheck(args []string, out io.Writer) (verdictFail bool, err error) {
 	logic := fs.Int("logic", 0, "estimated logic demand")
 	tol := fs.Float64("tol", 0, "numerical error tolerance (0 skips the precision test)")
 	if err := fs.Parse(args); err != nil {
-		return false, err
+		return false, cli.WrapUsage(err)
 	}
 	p, err := load(*file)
 	if err != nil {
@@ -343,7 +345,7 @@ func cmdCheck(args []string, out io.Writer) (verdictFail bool, err error) {
 	}
 	dev, ok := resource.Lookup(*device)
 	if !ok {
-		return false, fmt.Errorf("unknown device %q (see 'rat devices')", *device)
+		return false, cli.Usagef("unknown device %q (see 'rat devices')", *device)
 	}
 	res, err := methodology.Evaluate(methodology.Requirements{
 		TargetSpeedup:  *target,
@@ -372,10 +374,10 @@ func cmdProject(args []string, out io.Writer) error {
 	fs := newFlagSet("project")
 	file := fs.String("f", "", "project file (JSON)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	if *file == "" {
-		return fmt.Errorf("a project file is required (-f)")
+		return cli.Usagef("a project file is required (-f)")
 	}
 	f, err := os.Open(*file)
 	if err != nil {
@@ -420,7 +422,7 @@ func cmdValidate(args []string, out io.Writer) error {
 	trc := fs.Float64("trc", 0, "measured end-to-end time (s; 0 derives from components)")
 	double := fs.Bool("double", false, "double-buffered overlap")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cli.WrapUsage(err)
 	}
 	p, err := load(*file)
 	if err != nil {
@@ -431,6 +433,9 @@ func cmdValidate(args []string, out io.Writer) error {
 		return err
 	}
 	a, err := validate.Compare(pr, validate.Measured{TComm: *comm, TComp: *comp, TRC: *trc}, buffering(*double))
+	if errors.Is(err, validate.ErrBadMeasurement) {
+		return cli.WrapUsage(err) // the measurements are flags
+	}
 	if err != nil {
 		return err
 	}

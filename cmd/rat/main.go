@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"github.com/chrec/rat/internal/cli"
 )
 
 func main() {
@@ -70,9 +72,8 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintf(errOut, "rat: %v\n", err)
-		return 1
 	}
-	return 0
+	return cli.Code(err)
 }
 
 func usage(w io.Writer) {

@@ -116,7 +116,7 @@ func TestSolveCommand(t *testing.T) {
 	}
 	// Unknown free variable.
 	code, _, errOut := runCLI(t, "solve", "-f", sheet, "-target", "2", "-for", "luck")
-	if code != 1 || !strings.Contains(errOut, "unknown solve variable") {
+	if code != 2 || !strings.Contains(errOut, "unknown solve variable") {
 		t.Errorf("bad -for: exit %d, %s", code, errOut)
 	}
 	// Unreachable target surfaces the solver's error.
@@ -203,7 +203,7 @@ func TestCheckCommand(t *testing.T) {
 	if code != 1 || !strings.Contains(out, "verdict: NEW DESIGN") || errOut != "" {
 		t.Errorf("failing check: exit %d out=%q err=%q", code, out, errOut)
 	}
-	if code, _, errOut := runCLI(t, "check", "-f", sheet, "-target", "10", "-device", "NoSuchChip"); code != 1 || !strings.Contains(errOut, "unknown device") {
+	if code, _, errOut := runCLI(t, "check", "-f", sheet, "-target", "10", "-device", "NoSuchChip"); code != 2 || !strings.Contains(errOut, "unknown device") {
 		t.Errorf("unknown device: exit %d, %s", code, errOut)
 	}
 }
@@ -230,8 +230,8 @@ func TestProjectCommand(t *testing.T) {
 			t.Errorf("project output missing %q:\n%s", want, out)
 		}
 	}
-	if code, _, _ := runCLI(t, "project"); code != 1 {
-		t.Error("missing -f accepted")
+	if code, _, _ := runCLI(t, "project"); code != 2 {
+		t.Error("missing -f must be a usage error")
 	}
 	if code, _, _ := runCLI(t, "project", "-f", "/does/not/exist.json"); code != 1 {
 		t.Error("missing file accepted")
@@ -253,8 +253,8 @@ func TestValidateCommand(t *testing.T) {
 	if !strings.Contains(out, "speedup: 10.6 predicted, 7.8 measured") {
 		t.Errorf("speedup line wrong:\n%s", out)
 	}
-	if code, _, _ := runCLI(t, "validate", "-f", sheet); code != 1 {
-		t.Error("missing measurements accepted")
+	if code, _, _ := runCLI(t, "validate", "-f", sheet); code != 2 {
+		t.Error("missing measurements must be a usage error")
 	}
 }
 
@@ -295,21 +295,21 @@ func TestUsageAndErrors(t *testing.T) {
 		t.Error("help must print usage")
 	}
 	// Missing worksheet.
-	if code, _, errOut := runCLI(t, "predict"); code != 1 || !strings.Contains(errOut, "worksheet file is required") {
-		t.Error("missing -f must fail")
+	if code, _, errOut := runCLI(t, "predict"); code != 2 || !strings.Contains(errOut, "worksheet file is required") {
+		t.Error("missing -f must be a usage error")
 	}
 	// Nonexistent file.
 	if code, _, _ := runCLI(t, "predict", "-f", "/does/not/exist.rat"); code != 1 {
 		t.Error("missing file must fail")
 	}
 	// Bad flag.
-	if code, _, _ := runCLI(t, "predict", "-nonsense"); code != 1 {
-		t.Error("bad flag must fail")
+	if code, _, _ := runCLI(t, "predict", "-nonsense"); code != 2 {
+		t.Error("bad flag must be a usage error")
 	}
 	// Bad clock list.
 	sheet := writeSheet(t, "design.rat")
-	if code, _, _ := runCLI(t, "predict", "-f", sheet, "-clocks", "fast"); code != 1 {
-		t.Error("bad clock list must fail")
+	if code, _, _ := runCLI(t, "predict", "-f", sheet, "-clocks", "fast"); code != 2 {
+		t.Error("bad clock list must be a usage error")
 	}
 }
 

@@ -11,8 +11,9 @@
 //
 // Every run records per-experiment wall time and pass/fail counters
 // (plus the MD-dataset cache hit rate) into a telemetry registry; the
-// run ends with a one-line summary sourced from it, and -metrics
-// prints the full registry. See docs/OBSERVABILITY.md.
+// run ends with a one-line summary of those counters and its own wall
+// time, and -metrics prints the full registry. See
+// docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -103,6 +104,7 @@ func run(args []string, out, errOut io.Writer) int {
 	defer harness.SetRegistry(telemetry.Default())
 
 	failed := false
+	start := time.Now()
 	for i, e := range selected {
 		if i > 0 {
 			fmt.Fprintln(out)
@@ -117,11 +119,8 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprint(out, text)
 	}
 
+	wall := time.Since(start)
 	snap := reg.Snapshot()
-	var wall time.Duration
-	for _, t := range snap.Timers {
-		wall += t.Total
-	}
 	fmt.Fprintf(out, "\nran %d experiment(s), %d failure(s), total wall time %s\n",
 		snap.Counters["harness.experiments_run"],
 		snap.Counters["harness.experiments_failed"],

@@ -99,7 +99,7 @@ func TestMetricsFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, want := range []string{"metrics:", "counter harness.experiments_run", "timer   harness.experiment.fig3"} {
+	for _, want := range []string{"metrics:", "counter harness.experiments_run", "gauge   harness.experiment.fig3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}

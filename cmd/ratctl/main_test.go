@@ -107,7 +107,7 @@ func TestExploreJSONLMetrics(t *testing.T) {
 	if out.String() != singleNodeJSONL(t, urls[0]) {
 		t.Errorf("-metrics changed the JSONL on stdout:\n%s", out.String())
 	}
-	if !strings.Contains(errOut.String(), "cluster.shards_completed") {
+	if !strings.Contains(errOut.String(), "rat_cluster_shards_completed_total") {
 		t.Errorf("-metrics block missing from stderr: %q", errOut.String())
 	}
 }

@@ -87,6 +87,11 @@ func TestCLIsRejectAlike(t *testing.T) {
 	overflowing.Dataset.ElementsIn = 1 << 40
 	invalid := paper.PDF1DParams()
 	invalid.Comp.ClockHz = -1
+	// Overflows only at its own clock, which -clocks overrides: ratd
+	// answers the request 200, so both CLIs accept it.
+	overridden := paper.PDF1DParams()
+	overridden.Comp.OpsPerElement = 1e300
+	overridden.Comp.ClockHz = 1e-294
 
 	for _, tc := range []struct {
 		args []string
@@ -101,6 +106,7 @@ func TestCLIsRejectAlike(t *testing.T) {
 		{[]string{"-max-util-comm", "-Inf"}, "usage"},
 		{[]string{"-worksheet", worksheetFile(t, overflowing)}, "input"},
 		{[]string{"-worksheet", worksheetFile(t, invalid)}, "input"},
+		{[]string{"-worksheet", worksheetFile(t, overridden), "-clocks", "150"}, "accepted"},
 		{[]string{"-topology", "shared-channel"}, "accepted"},
 		{[]string{"-topology", "independent-channels"}, "accepted"},
 	} {

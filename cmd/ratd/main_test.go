@@ -307,7 +307,7 @@ func inflightPredict(t *testing.T, addr string) bool {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(string(listing), "\n") {
-		if f := strings.Fields(line); len(f) == 3 && f[1] == "server.inflight.predict" {
+		if f := strings.Fields(line); len(f) == 3 && f[1] == `rat_inflight{endpoint="predict"}` {
 			return f[2] == "1"
 		}
 	}

@@ -230,7 +230,6 @@ func load(args []string, out io.Writer) error {
 
 	reg := telemetry.NewRegistry()
 	latHist := reg.Histogram("load.latency_seconds", latencyBounds)
-	latTimer := reg.Timer("load.latency")
 	var sent, transportErrs, taken atomic.Int64
 	var statusMu sync.Mutex
 	statuses := make(map[int]int64)
@@ -308,7 +307,6 @@ func load(args []string, out io.Writer) error {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				latHist.Observe(elapsed.Seconds())
-				latTimer.Observe(elapsed)
 				if sampler != nil {
 					sampler.record(traceSample{
 						trace:   traceHdr[:16], // the trace-ID half of the header
@@ -644,9 +642,7 @@ func (s *traceSampler) report(out io.Writer, n int) {
 func report(out io.Writer, reg *telemetry.Registry, statuses map[int]int64,
 	sent, transportErrs int64, elapsed time.Duration, conc int, qps float64) {
 
-	snap := reg.Snapshot()
-	lat := snap.Timers["load.latency"]
-	hist := snap.Histograms["load.latency_seconds"]
+	hist := reg.Snapshot().Histograms["load.latency_seconds"]
 
 	fmt.Fprintf(out, "ratload: %d requests in %v (%.1f req/s, %d workers",
 		sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds(), conc)
@@ -667,12 +663,12 @@ func report(out io.Writer, reg *telemetry.Registry, statuses map[int]int64,
 		fmt.Fprintf(out, "  transport errors: %d\n", transportErrs)
 	}
 
-	if lat.Count > 0 {
-		fmt.Fprintf(out, "latency: mean %v  min %v  max %v  (%d samples)\n",
-			lat.Mean.Round(time.Microsecond), lat.Min.Round(time.Microsecond),
-			lat.Max.Round(time.Microsecond), lat.Count)
-	}
 	if hist.Count > 0 {
+		dur := func(secs float64) time.Duration {
+			return time.Duration(secs * float64(time.Second)).Round(time.Microsecond)
+		}
+		fmt.Fprintf(out, "latency: mean %v  min %v  max %v  (%d samples)\n",
+			dur(hist.Sum/float64(hist.Count)), dur(hist.Min), dur(hist.Max), hist.Count)
 		fmt.Fprintln(out, "latency histogram (upper bound: count):")
 		cum := int64(0)
 		for _, b := range hist.Buckets {

@@ -59,7 +59,7 @@ func TestExploreJSONL(t *testing.T) {
 	if tops != 2 || fronts == 0 {
 		t.Errorf("got %d top and %d frontier records, want 2 and >0", tops, fronts)
 	}
-	if !strings.Contains(errOut, "explore.evaluations") {
+	if !strings.Contains(errOut, "rat_explore_evaluations_total") {
 		t.Errorf("stderr lacks the -metrics block:\n%s", errOut)
 	}
 }
@@ -91,7 +91,7 @@ func TestExploreWorksheetBase(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, want := range []string{"explored 4 candidates", "explore.candidates", "explore.shard"} {
+	for _, want := range []string{"explored 4 candidates", "rat_explore_candidates_total", "rat_explore_shard_seconds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

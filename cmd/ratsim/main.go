@@ -268,7 +268,7 @@ func (o *obsFlags) instrument(sc *rcsim.Scenario) (finish func() error, err erro
 // into a fresh registry and prints it.
 func printMetrics(out io.Writer, m rcsim.Measurement, wall time.Duration) error {
 	reg := telemetry.NewRegistry()
-	reg.Timer("ratsim.sim_wall").Observe(wall)
+	reg.Gauge("ratsim.sim_wall").Set(wall.Seconds())
 	m.RecordMetrics(reg)
 	fmt.Fprintln(out, "\nmetrics:")
 	return telemetry.WriteText(out, reg.Snapshot())

@@ -267,7 +267,7 @@ func TestRunMetricsAndProfiles(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, want := range []string{"metrics:", "counter rcsim.runs", "gauge   rcsim.t_rc_seconds", "timer   ratsim.sim_wall"} {
+	for _, want := range []string{"metrics:", "counter rcsim.runs", "gauge   rcsim.t_rc_seconds", "gauge   ratsim.sim_wall"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}

@@ -64,10 +64,11 @@ func Register(fs *flag.FlagSet) *Flags {
 // Request builds the explore request the parsed flags describe and
 // prepares it with the given engine worker count. The job's request
 // carries the axes as written (clocks in MHz), so a fleet compiles the
-// grid a local run compiles. A base worksheet file that cannot be
-// read, or whose own numbers are invalid or overflow, is bad input
-// data (exit 1); every other refusal is a usage error (exit 2), raised
-// before any work is done or any worker is contacted.
+// grid a local run compiles, and the command accepts what ratd
+// accepts. A base worksheet file that cannot be read, or whose own
+// numbers are invalid or overflow where no axis overrides them, is bad
+// input data (exit 1); every other refusal is a usage error (exit 2),
+// raised before any work is done or any worker is contacted.
 func (f *Flags) Request(workers int) (api.ExploreJob, error) {
 	req := f.req
 	var err error
@@ -79,6 +80,14 @@ func (f *Flags) Request(workers int) (api.ExploreJob, error) {
 	}
 	job, err := req.Prepare(workers)
 	if err != nil {
+		// Only a refused request asks whether the base alone is at
+		// fault: a base that overflows at a value an axis overrides is
+		// a valid request.
+		if f.path != "" {
+			if berr := (explore.Grid{Base: req.Worksheet.Params()}).Validate(); berr != nil {
+				return api.ExploreJob{}, fmt.Errorf("worksheet %s: %w", f.path, berr)
+			}
+		}
 		return api.ExploreJob{}, cli.WrapUsage(err)
 	}
 	f.objective = job.Options.Objective
@@ -152,12 +161,6 @@ func base(study, path string) (worksheet.Doc, error) {
 	}
 	defer file.Close()
 	doc, err := worksheet.DecodeDoc(file)
-	if err == nil {
-		// Fields that each validate can still overflow the worksheet's
-		// own derived numbers: bad input data, not a flag mistake like
-		// an overflowing axis value.
-		err = explore.Grid{Base: doc.Params()}.Validate()
-	}
 	if err != nil {
 		return worksheet.Doc{}, fmt.Errorf("worksheet %s: %w", path, err)
 	}

@@ -80,9 +80,9 @@ type Config struct {
 	// Tick is the scheduler's housekeeping cadence — straggler
 	// checks, probe scheduling, backoff expiry (default 50ms).
 	Tick time.Duration
-	// Metrics, when non-nil, receives coordinator telemetry:
-	// cluster.shards_* counters, the cluster.workers_healthy gauge
-	// and the cluster.shard_latency timer.
+	// Metrics, when non-nil, receives the coordinator's six
+	// rat_cluster_*_total counters. Each shard's time is the worker's
+	// own: its rat_request_seconds{endpoint="explore"}.
 	Metrics *telemetry.Registry
 }
 
@@ -144,8 +144,6 @@ type Coordinator struct {
 	mRedisp     *telemetry.Counter
 	mDup        *telemetry.Counter
 	mFail       *telemetry.Counter
-	mHealthy    *telemetry.Gauge
-	mLatency    *telemetry.Timer
 }
 
 // New validates the configuration and applies defaults.
@@ -185,14 +183,12 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		cfg:         cfg,
-		mDispatched: reg.Counter("cluster.shards_dispatched"),
-		mCompleted:  reg.Counter("cluster.shards_completed"),
-		mRetried:    reg.Counter("cluster.shards_retried"),
-		mRedisp:     reg.Counter("cluster.shards_redispatched"),
-		mDup:        reg.Counter("cluster.duplicate_completions"),
-		mFail:       reg.Counter("cluster.worker_failures"),
-		mHealthy:    reg.Gauge("cluster.workers_healthy"),
-		mLatency:    reg.Timer("cluster.shard_latency"),
+		mDispatched: reg.Counter("rat_cluster_shards_dispatched_total"),
+		mCompleted:  reg.Counter("rat_cluster_shards_completed_total"),
+		mRetried:    reg.Counter("rat_cluster_shards_retried_total"),
+		mRedisp:     reg.Counter("rat_cluster_shards_redispatched_total"),
+		mDup:        reg.Counter("rat_cluster_duplicate_completions_total"),
+		mFail:       reg.Counter("rat_cluster_worker_failures_total"),
 	}, nil
 }
 
@@ -256,11 +252,10 @@ type workerRT struct {
 
 // completion is one dispatched shard copy's outcome.
 type completion struct {
-	shard   int
-	worker  int
-	res     ShardResult
-	err     error
-	elapsed time.Duration
+	shard  int
+	worker int
+	res    ShardResult
+	err    error
 }
 
 // probeResult is one /v1/status probe's outcome.
@@ -311,7 +306,6 @@ func (c *Coordinator) Run(ctx context.Context, job api.ExploreJob) (explore.Resu
 	for i := range st.workers {
 		st.workers[i].healthy = true
 	}
-	c.mHealthy.Set(float64(len(st.workers)))
 	st.stats.Workers = len(st.workers)
 	st.stats.Shards = len(st.shards)
 
@@ -353,7 +347,6 @@ func (c *Coordinator) schedule(ctx context.Context, st *run, m *merger, req api.
 			w.probing = false
 			if p.err == nil {
 				w.healthy = true
-				c.healthyGauge(st)
 			} else {
 				//rat:allow-wallclock probe pacing only
 				w.nextProbe = time.Now().Add(c.cfg.ProbeInterval)
@@ -427,8 +420,6 @@ func (c *Coordinator) dispatch(runCtx context.Context, st *run, si, wi int, req 
 	sreq.IndexLo, sreq.IndexHi = sh.lo, sh.hi
 	w := c.cfg.Workers[wi].W
 	go func() {
-		//rat:allow-wallclock per-shard latency telemetry only
-		start := time.Now()
 		var top, front []uint64
 		sum, err := w.ExploreStream(runCtx, sreq, func(line api.ExploreLine) error {
 			if line.Candidate == nil {
@@ -443,8 +434,6 @@ func (c *Coordinator) dispatch(runCtx context.Context, st *run, si, wi int, req 
 			return nil
 		})
 		e := completion{shard: si, worker: wi, err: err}
-		//rat:allow-wallclock per-shard latency telemetry only
-		e.elapsed = time.Since(start)
 		if err == nil {
 			e.res = ShardResult{
 				Lo: sreq.IndexLo, Hi: sreq.IndexHi,
@@ -489,7 +478,6 @@ func (c *Coordinator) onCompletion(st *run, m *merger, e completion) (int, error
 		return 0, nil
 	}
 
-	c.mLatency.Observe(e.elapsed)
 	if sh.done {
 		st.stats.Duplicates++
 		c.mDup.Inc()
@@ -533,10 +521,7 @@ func (c *Coordinator) noteWorkerError(st *run, wi int, err error) {
 	if errors.Is(err, context.Canceled) {
 		return // the run is being torn down; not the worker's fault
 	}
-	if w.healthy {
-		w.healthy = false
-		c.healthyGauge(st)
-	}
+	w.healthy = false
 	//rat:allow-wallclock probe pacing only
 	w.nextProbe = time.Now().Add(c.cfg.ProbeInterval)
 }
@@ -618,17 +603,6 @@ func (st *run) lastQueuedErr() error {
 		}
 	}
 	return errors.New("no shard ever completed")
-}
-
-// healthyGauge publishes the current healthy-worker count.
-func (c *Coordinator) healthyGauge(st *run) {
-	n := 0
-	for i := range st.workers {
-		if st.workers[i].healthy {
-			n++
-		}
-	}
-	c.mHealthy.Set(float64(n))
 }
 
 // shardSize resolves the configured or derived shard size for a span.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/chrec/rat/internal/core"
+	"github.com/chrec/rat/internal/obs"
 	"github.com/chrec/rat/internal/telemetry"
 )
 
@@ -193,10 +194,10 @@ type Options struct {
 	// run (internal/cluster builds on this).
 	IndexLo uint64
 	IndexHi uint64
-	// Metrics, when non-nil, receives engine telemetry:
-	// explore.candidates, explore.feasible and explore.evaluations
-	// counters, the explore.shard timer, and explore.candidates_per_sec
-	// and explore.topk_churn gauges.
+	// Metrics, when non-nil, receives engine telemetry: the
+	// rat_explore_candidates_total, rat_explore_feasible_total and
+	// rat_explore_evaluations_total counters and the
+	// rat_explore_shard_seconds histogram.
 	Metrics *telemetry.Registry
 	// CollectSpans records one ShardSpan per evaluated shard into
 	// Result.Spans: which index range ran on which worker and for how
@@ -222,7 +223,8 @@ type Result struct {
 	// Evaluated is the covered candidate count: the grid size, or the
 	// span of the index range for a partial (sharded) run. The engine
 	// skips candidates that cannot change the answer, so this counts
-	// coverage, not work; the explore.evaluations counter counts work.
+	// coverage, not work; the rat_explore_evaluations_total counter
+	// counts work.
 	Evaluated uint64
 	// Feasible is how many candidates satisfied the constraints.
 	Feasible uint64
@@ -317,7 +319,7 @@ func (c *Compiled) Run(ctx context.Context, opts Options) (Result, error) {
 		spans: opts.CollectSpans,
 	}
 	if opts.Metrics != nil {
-		sh.timer = opts.Metrics.Timer("explore.shard")
+		sh.seconds = opts.Metrics.Histogram("rat_explore_shard_seconds", shardBounds)
 	}
 
 	states := make([]workerState, workers)
@@ -352,17 +354,13 @@ func (c *Compiled) Run(ctx context.Context, opts Options) (Result, error) {
 		res.CandidatesPerSec = float64(res.Evaluated) / secs
 	}
 	if m := opts.Metrics; m != nil {
-		var churn int64
 		var evals uint64
 		for i := range states {
-			churn += states[i].top.churn
 			evals += states[i].evals
 		}
-		m.Counter("explore.candidates").Add(int64(res.Evaluated))
-		m.Counter("explore.feasible").Add(int64(res.Feasible))
-		m.Counter("explore.evaluations").Add(int64(evals))
-		m.Gauge("explore.candidates_per_sec").Set(res.CandidatesPerSec)
-		m.Gauge("explore.topk_churn").Set(float64(churn))
+		m.Counter("rat_explore_candidates_total").Add(int64(res.Evaluated))
+		m.Counter("rat_explore_feasible_total").Add(int64(res.Feasible))
+		m.Counter("rat_explore_evaluations_total").Add(int64(evals))
 	}
 	return res, nil
 }
@@ -377,9 +375,13 @@ type shards struct {
 	lo, hi      uint64
 	size, count uint64
 	k           int // each worker's top-K size
-	timer       *telemetry.Timer
+	seconds     *telemetry.Histogram
 	spans       bool
 }
+
+// shardBounds are the rat_explore_shard_seconds buckets, the
+// rat_stage_seconds ones: a shard runs for microseconds to seconds.
+var shardBounds = obs.StageBounds()
 
 // work takes shards until none is left or the run's context ends.
 func (st *workerState) work(sh *shards, worker int) {
@@ -399,13 +401,13 @@ func (st *workerState) work(sh *shards, worker int) {
 		if lo >= hi {
 			continue
 		}
-		//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
+		//rat:allow-wallclock shard timing feeds rat_explore_shard_seconds and ShardSpan telemetry only
 		shardStart := time.Now()
 		st.runShard(sh.p, lo, hi)
-		//rat:allow-wallclock shard timing feeds the explore.shard timer and ShardSpan telemetry only
+		//rat:allow-wallclock shard timing feeds rat_explore_shard_seconds and ShardSpan telemetry only
 		shardElapsed := time.Since(shardStart)
-		if sh.timer != nil {
-			sh.timer.Observe(shardElapsed)
+		if sh.seconds != nil {
+			sh.seconds.Observe(shardElapsed.Seconds())
 		}
 		if sh.spans {
 			st.spans = append(st.spans, ShardSpan{

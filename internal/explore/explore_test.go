@@ -418,8 +418,9 @@ func exploreGridShaped() explore.Grid {
 	return g
 }
 
-// TestExploreEvaluationsCounter: explore.evaluations counts the work a
-// run did, and explore.candidates the candidates it covered. One
+// TestExploreEvaluationsCounter: rat_explore_evaluations_total counts
+// the work a run did, and rat_explore_candidates_total the candidates
+// it covered. One
 // worker does the same work every time, and a top-10 request on an
 // explore-grid-shaped grid evaluates under a tenth of what it covers.
 // With the frontier it makes 2,682 evaluations; the limit sits about
@@ -438,9 +439,9 @@ func TestExploreEvaluationsCounter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			evals := reg.Counter("explore.evaluations").Value()
-			if got := reg.Counter("explore.candidates").Value(); got != int64(res.Evaluated) || got != 32768 {
-				t.Fatalf("explore.candidates = %d, want the 32768 covered", got)
+			evals := reg.Counter("rat_explore_evaluations_total").Value()
+			if got := reg.Counter("rat_explore_candidates_total").Value(); got != int64(res.Evaluated) || got != 32768 {
+				t.Fatalf("rat_explore_candidates_total = %d, want the 32768 covered", got)
 			}
 			if run == 0 {
 				first = evals
@@ -461,25 +462,38 @@ func TestExploreEvaluationsCounter(t *testing.T) {
 	}
 }
 
-// TestExploreTelemetry: the engine reports its counters and gauges.
+// TestExploreTelemetry: the engine reports three counters and one
+// histogram of shard times, and no last-run gauge.
 func TestExploreTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g := testGrid()
-	res, err := explore.Run(g, explore.Options{Workers: 2, Metrics: reg})
+	res, err := explore.Run(g, explore.Options{Workers: 2, Metrics: reg, CollectSpans: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("explore.candidates").Value(); got != int64(res.Evaluated) {
-		t.Errorf("explore.candidates = %d, want %d", got, res.Evaluated)
+	snap := reg.Snapshot()
+	if got := snap.Counters["rat_explore_candidates_total"]; got != int64(res.Evaluated) {
+		t.Errorf("rat_explore_candidates_total = %d, want %d", got, res.Evaluated)
 	}
-	if got := reg.Counter("explore.feasible").Value(); got != int64(res.Feasible) {
-		t.Errorf("explore.feasible = %d, want %d", got, res.Feasible)
+	if got := snap.Counters["rat_explore_feasible_total"]; got != int64(res.Feasible) {
+		t.Errorf("rat_explore_feasible_total = %d, want %d", got, res.Feasible)
 	}
-	if reg.Gauge("explore.candidates_per_sec").Value() <= 0 {
-		t.Error("explore.candidates_per_sec not set")
+	if snap.Counters["rat_explore_evaluations_total"] <= 0 {
+		t.Error("rat_explore_evaluations_total not counted")
 	}
-	if reg.Timer("explore.shard").Stats().Count == 0 {
-		t.Error("explore.shard timer never observed")
+	shards := snap.Histograms["rat_explore_shard_seconds"]
+	if shards.Count != int64(len(res.Spans)) || shards.Count == 0 || shards.Max < shards.Min {
+		t.Errorf("rat_explore_shard_seconds = %+v, want one observation per shard (%d)", shards, len(res.Spans))
+	}
+	var longest float64
+	for _, sp := range res.Spans {
+		longest = max(longest, sp.Elapsed.Seconds())
+	}
+	if shards.Max != longest {
+		t.Errorf("rat_explore_shard_seconds max = %g, want the longest span %g", shards.Max, longest)
+	}
+	if len(snap.Counters) != 3 || len(snap.Gauges) != 0 || len(snap.Histograms) != 1 {
+		t.Errorf("engine telemetry = %+v, want three counters and one histogram", snap)
 	}
 }
 

@@ -9,9 +9,6 @@ type topK struct {
 	items []Candidate
 	k     int
 	obj   Objective
-	// churn counts admissions after the heap first filled — a proxy
-	// for how long the stream kept improving on the incumbent set.
-	churn int64
 }
 
 func (t *topK) init(k int, obj Objective) {
@@ -44,7 +41,6 @@ func (t *topK) offer(c *Candidate) {
 	}
 	t.items[0] = *c
 	t.siftDown(0)
-	t.churn++
 }
 
 func (t *topK) siftUp(i int) {

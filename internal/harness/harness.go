@@ -54,15 +54,16 @@ func SetRegistry(reg *telemetry.Registry) {
 // Metrics returns the registry the harness currently records into.
 func Metrics() *telemetry.Registry { return metricsReg.Load() }
 
-// RunWith executes the experiment and instruments the run: a
-// harness.experiment.<id> timer observes the wall-clock duration, and
-// the harness.experiments_run / harness.experiments_failed counters
-// accumulate pass/fail totals. A nil registry just runs.
+// RunWith executes the experiment and instruments the run: the
+// harness.experiment.<id> gauge holds its wall-clock duration in
+// seconds, and the harness.experiments_run /
+// harness.experiments_failed counters accumulate pass/fail totals. A
+// nil registry just runs.
 func (e Experiment) RunWith(reg *telemetry.Registry) (string, error) {
 	start := time.Now()
 	text, err := e.Run()
 	if reg != nil {
-		reg.Timer("harness.experiment." + e.ID).Observe(time.Since(start))
+		reg.Gauge("harness.experiment." + e.ID).Set(time.Since(start).Seconds())
 		reg.Counter("harness.experiments_run").Inc()
 		if err != nil {
 			reg.Counter("harness.experiments_failed").Inc()

@@ -164,8 +164,8 @@ func TestRunWithRecordsMetrics(t *testing.T) {
 	if s.Counters["harness.experiments_run"] != 2 || s.Counters["harness.experiments_failed"] != 1 {
 		t.Errorf("counters = %v", s.Counters)
 	}
-	if s.Timers["harness.experiment.unit-ok"].Count != 1 {
-		t.Errorf("missing per-experiment timer: %v", s.Timers)
+	if secs, ok := s.Gauges["harness.experiment.unit-ok"]; !ok || secs < 0 {
+		t.Errorf("missing per-experiment wall time: %v", s.Gauges)
 	}
 	if _, err := ok.RunWith(nil); err != nil {
 		t.Errorf("nil registry must still run: %v", err)

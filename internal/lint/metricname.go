@@ -12,20 +12,20 @@ import (
 // Metric names registered with the telemetry registry end up in the
 // Prometheus text exposition that telemetry.ValidateProm (and every
 // real scraper) parses. The registry sanitizes legacy dotted names
-// ("server.requests" exports as server_requests), but nothing rescues
+// ("server.cache_hits" exports as server_cache_hits), but nothing rescues
 // a malformed label block or a name that sanitizes into collision —
 // those fail at scrape time, on a dashboard, far from the code that
 // minted them. This check moves that failure to lint time: every
-// string literal passed to Registry.Counter/Gauge/Timer/Histogram
+// string literal passed to Registry.Counter/Gauge/Histogram
 // must satisfy the same grammar ValidateProm enforces, extended with
 // '.' as the accepted legacy separator.
 //
 // Accepted shapes:
 //
-//	reg.Counter("server.requests")                      dotted legacy
+//	reg.Counter("server.cache_hits")                    dotted legacy
 //	reg.Gauge("rat_inflight")                           plain
 //	reg.Histogram(`rat_request_seconds{endpoint="x"}`)  inline labels
-//	reg.Counter("server.inflight." + endpoint)          literal prefix
+//	reg.Counter("server.admitted." + endpoint)          literal prefix
 //	reg.Counter(fmt.Sprintf(`m{code="%d"}`, code))      format literal
 //
 // Dynamic parts (non-literal operands, %-verbs) are assumed valid;
@@ -44,7 +44,7 @@ import (
 // registryMethods are the telemetry.Registry constructors whose first
 // argument is a metric name.
 var registryMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "Timer": true, "Histogram": true,
+	"Counter": true, "Gauge": true, "Histogram": true,
 }
 
 var analyzerMetricname = &Analyzer{

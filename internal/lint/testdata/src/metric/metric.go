@@ -13,7 +13,7 @@ func Register(reg *telemetry.Registry, endpoint string, code int) {
 	// Valid shapes.
 	reg.Counter("server.requests")
 	reg.Gauge("rat_inflight")
-	reg.Timer("harness.experiment.pdf1d")
+	reg.Gauge("harness.experiment.pdf1d")
 	reg.Histogram(`rat_request_seconds{endpoint="predict"}`, []float64{1})
 	reg.Counter("server.inflight." + endpoint)
 	//rat:bounded-labels code and endpoint come from fixed enums
@@ -29,7 +29,7 @@ func Register(reg *telemetry.Registry, endpoint string, code int) {
 	reg.Counter("")
 	reg.Histogram(`rat_request_seconds{endpoint=predict}`, []float64{1})
 	reg.Counter(`dup{a="1",a="2"}`)
-	reg.Timer(`open_block{a="1"`)
+	reg.Gauge(`open_block{a="1"`)
 	reg.Counter(fmt.Sprintf(`bad name{code="%d"}`, code))
 	reg.Counter("bad prefix." + endpoint)
 

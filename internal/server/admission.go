@@ -40,14 +40,17 @@ type admission struct {
 // newAdmission builds the named endpoint's semaphore with the given
 // concurrency limit and maximum queue wait.
 func newAdmission(reg *telemetry.Registry, endpoint string, limit int64, wait time.Duration) *admission {
-	return &admission{
+	a := &admission{
 		limit:    limit,
 		wait:     wait,
-		inflight: reg.Gauge("server.inflight." + endpoint),
-		peakG:    reg.Gauge("server.inflight_peak." + endpoint),
 		admitted: reg.Counter("server.admitted." + endpoint),
 		rejected: reg.Counter("server.rejected." + endpoint),
 	}
+	//rat:bounded-labels endpoint is one of the three API endpoints
+	a.inflight = reg.Gauge(`rat_inflight{endpoint="` + endpoint + `"}`)
+	//rat:bounded-labels endpoint is one of the three API endpoints
+	a.peakG = reg.Gauge(`rat_inflight_peak{endpoint="` + endpoint + `"}`)
+	return a
 }
 
 // admit asks for weight units of the endpoint's capacity, queueing for

@@ -318,9 +318,10 @@ func TestAdmissionModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: admitted/rejected = %d/%d, model %d/%d", seed, step,
 					snap.Counters["server.admitted.predict"], snap.Counters["server.rejected.predict"], admitted, rejected)
 			}
-			if snap.Gauges["server.inflight.predict"] != float64(cur) || snap.Gauges["server.inflight_peak.predict"] != float64(peak) {
+			inflight, peakG := snap.Gauges[`rat_inflight{endpoint="predict"}`], snap.Gauges[`rat_inflight_peak{endpoint="predict"}`]
+			if inflight != float64(cur) || peakG != float64(peak) {
 				t.Fatalf("seed %d step %d: inflight/peak gauges = %v/%v, model %d/%d", seed, step,
-					snap.Gauges["server.inflight.predict"], snap.Gauges["server.inflight_peak.predict"], cur, peak)
+					inflight, peakG, cur, peak)
 			}
 		}
 		for _, r := range queue {

@@ -51,9 +51,11 @@ func awaitNoExploreWorkers(t *testing.T, limit time.Duration) time.Duration {
 	return time.Since(start)
 }
 
-// longestShard is the longest engine shard the registry has timed.
+// longestShard is the longest engine shard the registry has timed:
+// the max of rat_explore_shard_seconds.
 func longestShard(reg *telemetry.Registry) time.Duration {
-	return reg.Snapshot().Timers["explore.shard"].Max
+	secs := reg.Snapshot().Histograms["rat_explore_shard_seconds"].Max
+	return time.Duration(secs * float64(time.Second))
 }
 
 // shardSlack absorbs scheduling delay between a shard's end and the
@@ -157,7 +159,7 @@ func TestCancelledDistributedExploreStops(t *testing.T) {
 			t.Errorf("distributed explore answered %d before it was abandoned", resp.StatusCode)
 		}
 	}()
-	dispatched := func() int64 { return coordReg.Snapshot().Counters["cluster.shards_dispatched"] }
+	dispatched := func() int64 { return coordReg.Snapshot().Counters["rat_cluster_shards_dispatched_total"] }
 	deadline := time.Now().Add(30 * time.Second)
 	for exploreWorkers() == 0 {
 		if time.Now().After(deadline) {
@@ -170,7 +172,7 @@ func TestCancelledDistributedExploreStops(t *testing.T) {
 	<-done
 
 	// The coordinator's handler returns once its run is cancelled.
-	for coordReg.Snapshot().Gauges["server.inflight.explore"] > 0 {
+	for coordReg.Snapshot().Gauges[`rat_inflight{endpoint="explore"}`] > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the coordinator never returned from the abandoned request")
 		}

@@ -67,17 +67,16 @@ var requestSecondsBounds = []float64{
 }
 
 // redMetrics is the per-endpoint RED instrumentation: request counts
-// by status code, request duration histograms, and a service-wide
-// in-flight gauge. Handles are created once at server construction.
+// by status code and request duration histograms. Handles are created
+// once at server construction.
 type redMetrics struct {
-	reg      *telemetry.Registry
-	inflight *telemetry.Gauge
-	seconds  [numEndpoints]*telemetry.Histogram
-	codes    [numEndpoints]map[int]*telemetry.Counter
+	reg     *telemetry.Registry
+	seconds [numEndpoints]*telemetry.Histogram
+	codes   [numEndpoints]map[int]*telemetry.Counter
 }
 
 func newRedMetrics(reg *telemetry.Registry) *redMetrics {
-	m := &redMetrics{reg: reg, inflight: reg.Gauge("rat_inflight")}
+	m := &redMetrics{reg: reg}
 	for ep := endpointClass(0); ep < numEndpoints; ep++ {
 		m.seconds[ep] = reg.Histogram(
 			//rat:bounded-labels endpoint is a fixed enum label
@@ -168,24 +167,22 @@ func (c *stageClock) setHeader(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatus serves GET /v1/status: the live operational snapshot
-// documented in docs/OBSERVABILITY.md.
+// documented in docs/OBSERVABILITY.md. Its requests field counts
+// completed requests, the sum of the per-endpoint latency counts.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	uptime := time.Since(s.start).Seconds()
 	st := api.Status{
 		UptimeSeconds: uptime,
-		Requests:      s.requests.Value(),
 		Draining:      s.draining.Load(),
 		Endpoints:     make(map[string]api.EndpointStatus, int(numEndpoints)),
 		Stages:        make(map[string]api.StageStatus, int(obs.NumStages)),
-	}
-	if uptime > 0 {
-		st.QPS = float64(st.Requests) / uptime
 	}
 	admissions := map[endpointClass]*admission{
 		epPredict: s.admPredict, epBatch: s.admBatch, epExplore: s.admExplore,
 	}
 	for ep := endpointClass(0); ep < numEndpoints; ep++ {
 		hs := s.red.seconds[ep].Stats()
+		st.Requests += hs.Count
 		es := api.EndpointStatus{
 			Requests: hs.Count,
 			P50Ms:    hs.Quantile(0.50) * 1e3,
@@ -198,6 +195,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			es.Rejected = adm.rejected.Value()
 		}
 		st.Endpoints[ep.label()] = es
+	}
+	if uptime > 0 {
+		st.QPS = float64(st.Requests) / uptime
 	}
 	if s.cache != nil {
 		hits, misses := s.cache.hits.Value(), s.cache.misses.Value()

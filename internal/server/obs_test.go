@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -192,7 +194,8 @@ func TestMetricsPromConformance(t *testing.T) {
 		`rat_requests_total{code="400",endpoint="predict"} 1`,
 		"# TYPE rat_request_seconds histogram",
 		`rat_stage_seconds_bucket{stage="kernel",le="+Inf"}`,
-		"rat_inflight",
+		`rat_inflight{endpoint="predict"} 0`,
+		`rat_panics_total 0`,
 		"rat_uptime_seconds",
 	} {
 		if !strings.Contains(exposition, want) {
@@ -211,8 +214,92 @@ func TestMetricsPromConformance(t *testing.T) {
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	legacy := rec.Body.String()
-	if !strings.Contains(legacy, "server.requests") || !strings.Contains(legacy, "server.cache_hits") {
+	if !strings.Contains(legacy, "server.admitted.predict") || !strings.Contains(legacy, "server.cache_hits") {
 		t.Errorf("legacy metrics listing lost its names:\n%s", legacy)
+	}
+}
+
+// TestMetricInventory pins the Prometheus families of a default ratd:
+// 21 after a predict, a batch and an explore, and the coordinator's
+// six counters more after a distributed explore. Each family names one
+// quantity once and none is a summary, so a duplicate or a last-run
+// series fails here.
+func TestMetricInventory(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, resp.StatusCode, msg)
+		}
+	}
+	families := func() []string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.ValidateProm(string(body)); err != nil {
+			t.Fatalf("exposition is not conformant: %v\n%s", err, body)
+		}
+		var names []string
+		for _, line := range strings.Split(string(body), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				name, typ, _ := strings.Cut(rest, " ")
+				if typ == "summary" {
+					t.Errorf("family %s is a summary", name)
+				}
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return names
+	}
+
+	post("/v1/predict", predictBody(t))
+	post("/v1/predict/batch", append(append([]byte("["), predictBody(t)...), ']'))
+	explore, err := json.Marshal(distExploreRequest(nil).Explore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post("/v1/explore", explore)
+	want := []string{
+		"rat_explore_candidates_total", "rat_explore_evaluations_total",
+		"rat_explore_feasible_total", "rat_explore_shard_seconds",
+		"rat_inflight", "rat_inflight_peak", "rat_panics_total",
+		"rat_request_seconds", "rat_requests_total", "rat_stage_seconds",
+		"rat_uptime_seconds",
+		"server_admitted_batch", "server_admitted_explore", "server_admitted_predict",
+		"server_cache_entries", "server_cache_evictions", "server_cache_hits", "server_cache_misses",
+		"server_rejected_batch", "server_rejected_explore", "server_rejected_predict",
+	}
+	if got := families(); !slices.Equal(got, want) {
+		t.Errorf("after an explore, %d families:\n%v\nwant %d:\n%v", len(got), got, len(want), want)
+	}
+
+	dist, err := json.Marshal(distExploreRequest([]string{ts.URL}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post("/v1/explore/distributed", dist)
+	want = append(want,
+		"rat_cluster_duplicate_completions_total", "rat_cluster_shards_completed_total",
+		"rat_cluster_shards_dispatched_total", "rat_cluster_shards_redispatched_total",
+		"rat_cluster_shards_retried_total", "rat_cluster_worker_failures_total")
+	slices.Sort(want)
+	if got := families(); !slices.Equal(got, want) {
+		t.Errorf("after a distributed explore, %d families:\n%v\nwant %d:\n%v", len(got), got, len(want), want)
 	}
 }
 

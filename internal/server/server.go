@@ -146,11 +146,10 @@ type Server struct {
 	draining atomic.Bool
 	start    time.Time
 
-	panics   *telemetry.Counter
-	requests *telemetry.Counter
-	uptime   *telemetry.Gauge
-	red      *redMetrics
-	stages   [obs.NumStages]*telemetry.Histogram
+	panics *telemetry.Counter
+	uptime *telemetry.Gauge
+	red    *redMetrics
+	stages [obs.NumStages]*telemetry.Histogram
 }
 
 // New builds a Server from the configuration.
@@ -165,8 +164,7 @@ func New(cfg Config) *Server {
 		admBatch:       newAdmission(reg, "batch", int64(cfg.BatchLimit), cfg.AdmissionWait),
 		admExplore:     newAdmission(reg, "explore", int64(cfg.ExploreLimit), cfg.AdmissionWait),
 		exploreWorkers: max(1, runtime.GOMAXPROCS(0)/cfg.ExploreLimit),
-		panics:         reg.Counter("server.panics"),
-		requests:       reg.Counter("server.requests"),
+		panics:         reg.Counter("rat_panics_total"),
 		uptime:         reg.Gauge("rat_uptime_seconds"),
 		red:            newRedMetrics(reg),
 		start:          time.Now(),
@@ -272,9 +270,7 @@ var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 func (s *Server) middleware(next http.Handler) http.Handler {
 	logging := s.cfg.AccessLogger != nil
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Inc()
 		ep := classifyPath(r.URL.Path)
-		s.red.inflight.Add(1)
 		sw := swPool.Get().(*statusWriter)
 		*sw = statusWriter{ResponseWriter: w}
 		// Trace ingress: accept a well-formed X-Rat-Trace and echo the
@@ -309,7 +305,6 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				status = http.StatusOK
 			}
 			s.red.observe(ep, status, elapsed)
-			s.red.inflight.Add(-1)
 			if sw.member != nil {
 				s.tenancy.finish(sw, elapsed)
 			}

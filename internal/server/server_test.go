@@ -740,7 +740,7 @@ func TestAdmissionControlBurst(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if peak := snap.Gauges["server.inflight_peak.predict"]; peak != limit {
+	if peak := snap.Gauges[`rat_inflight_peak{endpoint="predict"}`]; peak != limit {
 		t.Errorf("inflight peak gauge = %v, want %d", peak, limit)
 	}
 	if snap.Counters["server.rejected.predict"] != int64(busy429) {
@@ -857,7 +857,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 
 	postPredict(t, ts, paper.PDF1DParams(), "")
 	if st, body := get("/metrics"); st != http.StatusOK ||
-		!strings.Contains(body, "server.requests") ||
+		!strings.Contains(body, "rat_requests_total") ||
 		!strings.Contains(body, "rat_request_seconds") {
 		t.Errorf("/metrics = %d:\n%s", st, body)
 	}
@@ -889,7 +889,7 @@ func TestPanicRecovery(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
 		t.Errorf("panic response is not an error body: %q", rec.Body.String())
 	}
-	if reg.Snapshot().Counters["server.panics"] != 1 {
+	if reg.Snapshot().Counters["rat_panics_total"] != 1 {
 		t.Error("panic counter not bumped")
 	}
 }

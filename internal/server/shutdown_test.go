@@ -89,7 +89,7 @@ func TestGracefulShutdownCompletesInFlight(t *testing.T) {
 
 	// Wait until the request is actually admitted before draining.
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Gauges["server.inflight.explore"] < 1 {
+	for reg.Snapshot().Gauges[`rat_inflight{endpoint="explore"}`] < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("explore request never showed up in flight")
 		}
@@ -158,7 +158,7 @@ func TestShutdownDeadlineCancelsExplore(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Gauges["server.inflight.explore"] < 1 {
+	for reg.Snapshot().Gauges[`rat_inflight{endpoint="explore"}`] < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("explore request never showed up in flight")
 		}

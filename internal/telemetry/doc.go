@@ -1,6 +1,6 @@
 // Package telemetry is the repository's observability substrate: a
-// lightweight, concurrency-safe metrics registry (counters, gauges,
-// timers, fixed-bucket histograms) with text and Prometheus encoders, a
+// lightweight, concurrency-safe metrics registry (counters, gauges and
+// fixed-bucket histograms) with text and Prometheus encoders, a
 // structured JSONL event log that the simulated RC platforms emit
 // transfer/compute/buffer-swap records into, and a Chrome
 // trace_event-format exporter so every timeline package trace can draw

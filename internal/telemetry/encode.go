@@ -19,13 +19,6 @@ func WriteText(w io.Writer, s Snapshot) error {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(s.Timers) {
-		t := s.Timers[name]
-		if _, err := fmt.Fprintf(w, "timer   %-40s count=%d total=%v mean=%v min=%v max=%v\n",
-			name, t.Count, t.Total, t.Mean, t.Min, t.Max); err != nil {
-			return err
-		}
-	}
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		if _, err := fmt.Fprintf(w, "histo   %-40s count=%d sum=%g", name, h.Count, h.Sum); err != nil {

@@ -20,13 +20,11 @@ import (
 //   - histograms as cumulative `_bucket{le="..."}` series (the
 //     registry's buckets are per-bucket counts; the encoder makes them
 //     cumulative and appends the mandatory le="+Inf" bucket) plus
-//     `_sum` and `_count`,
-//   - timers as summaries named `<family>_seconds` with `_sum` (in
-//     seconds) and `_count`.
+//     `_sum` and `_count`.
 //
 // Names are sanitized to the Prometheus grammar (runs of invalid
-// characters become `_`, so legacy dotted names like `server.requests`
-// export as `server_requests`).
+// characters become `_`, so legacy dotted names like `server.cache_hits`
+// export as `server_cache_hits`).
 
 // ContentTypeProm is the Content-Type of the exposition format.
 const ContentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
@@ -158,25 +156,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 			body = "{" + labels + "}" + body
 		}
 		f.samples = append(f.samples, promSample{sortKey: labels, line: fam + body})
-	}
-	for name, t := range s.Timers {
-		fam, labels := splitPromName(name)
-		fam = sanitizePromName(fam)
-		if !strings.HasSuffix(fam, "_seconds") {
-			fam += "_seconds"
-		}
-		f := get(fam, "summary", "Duration summary of "+fam+".")
-		if f == nil {
-			continue
-		}
-		lb := ""
-		if labels != "" {
-			lb = "{" + labels + "}"
-		}
-		f.samples = append(f.samples,
-			promSample{sortKey: labels + "\x00sum", line: fam + "_sum" + lb + " " + promFloat(t.Total.Seconds())},
-			promSample{sortKey: labels + "\x00count", line: fam + "_count" + lb + " " + strconv.FormatInt(t.Count, 10)},
-		)
 	}
 	for name, h := range s.Histograms {
 		fam, labels := splitPromName(name)

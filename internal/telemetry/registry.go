@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing integer metric.
@@ -36,90 +35,33 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add moves the gauge by delta (negative to decrease), lock-free via
-// compare-and-swap so concurrent adders never lose updates.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (zero before the first Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Timer accumulates wall-clock durations.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	total time.Duration
-	min   time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration; negative durations count as zero.
-func (t *Timer) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.total += d
-}
-
-// Time runs fn and observes its wall-clock duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
-// Stats returns the timer's aggregates.
-func (t *Timer) Stats() TimerStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TimerStats{Count: t.count, Total: t.total, Min: t.min, Max: t.max}
-	if t.count > 0 {
-		s.Mean = t.total / time.Duration(t.count)
-	}
-	return s
-}
-
-// TimerStats is a point-in-time summary of a Timer.
-type TimerStats struct {
-	Count int64         `json:"count"`
-	Total time.Duration `json:"total_ns"`
-	Min   time.Duration `json:"min_ns"`
-	Max   time.Duration `json:"max_ns"`
-	Mean  time.Duration `json:"mean_ns"`
-}
-
-// Histogram counts float64 observations into fixed buckets. Bounds are
-// the inclusive upper edges of each bucket; observations above the
-// last bound land in the overflow count.
+// Histogram counts float64 observations into fixed buckets and keeps
+// their count, sum, min and max. Bounds are the inclusive upper edges
+// of each bucket; observations above the last bound land in the
+// overflow count. A duration is observed in seconds.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []int64
-	over   int64
-	sum    float64
-	n      int64
+	mu       sync.Mutex
+	bounds   []float64
+	counts   []int64
+	over     int64
+	sum      float64
+	min, max float64
+	n        int64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
 	h.n++
 	h.sum += v
 	for i, b := range h.bounds {
@@ -135,7 +77,7 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) Stats() HistogramStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramStats{Count: h.n, Sum: h.sum, Overflow: h.over}
+	s := HistogramStats{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max, Overflow: h.over}
 	s.Buckets = make([]BucketCount, len(h.bounds))
 	for i, b := range h.bounds {
 		s.Buckets[i] = BucketCount{UpperBound: b, Count: h.counts[i]}
@@ -150,10 +92,13 @@ type BucketCount struct {
 	Count      int64   `json:"count"`
 }
 
-// HistogramStats is a point-in-time summary of a Histogram.
+// HistogramStats is a point-in-time summary of a Histogram. Min and
+// Max are zero until the first observation.
 type HistogramStats struct {
 	Count    int64         `json:"count"`
 	Sum      float64       `json:"sum"`
+	Min      float64       `json:"min"`
+	Max      float64       `json:"max"`
 	Buckets  []BucketCount `json:"buckets"`
 	Overflow int64         `json:"overflow"`
 }
@@ -197,7 +142,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 }
 
@@ -206,7 +150,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
-		timers:     map[string]*Timer{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -242,18 +185,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Histogram returns the named histogram, creating it on first use with
 // the given bucket upper bounds (sorted ascending; duplicates
 // removed). Bounds passed on later lookups of an existing name are
@@ -282,7 +213,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]float64        `json:"gauges,omitempty"`
-	Timers     map[string]TimerStats     `json:"timers,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
@@ -293,7 +223,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]float64, len(r.gauges)),
-		Timers:     make(map[string]TimerStats, len(r.timers)),
 		Histograms: make(map[string]HistogramStats, len(r.histograms)),
 	}
 	for n, c := range r.counters {
@@ -301,9 +230,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for n, g := range r.gauges {
 		s.Gauges[n] = g.Value()
-	}
-	for n, t := range r.timers {
-		s.Timers[n] = t.Stats()
 	}
 	for n, h := range r.histograms {
 		s.Histograms[n] = h.Stats()
@@ -318,6 +244,5 @@ func (r *Registry) Reset() {
 	defer r.mu.Unlock()
 	r.counters = map[string]*Counter{}
 	r.gauges = map[string]*Gauge{}
-	r.timers = map[string]*Timer{}
 	r.histograms = map[string]*Histogram{}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -26,23 +25,24 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestTimerStats(t *testing.T) {
+// TestHistogramMinMax: a histogram keeps the count, sum, min and max of
+// what it observes, so one type records durations in seconds.
+func TestHistogramMinMax(t *testing.T) {
 	r := NewRegistry()
-	tm := r.Timer("phase")
-	tm.Observe(2 * time.Millisecond)
-	tm.Observe(4 * time.Millisecond)
-	tm.Observe(-time.Second) // clamped to zero
-	s := tm.Stats()
-	if s.Count != 3 || s.Total != 6*time.Millisecond || s.Min != 0 || s.Max != 4*time.Millisecond {
+	h := r.Histogram("phase_seconds", []float64{0.001, 0.01})
+	if s := h.Stats(); s.Min != 0 || s.Max != 0 {
+		t.Errorf("empty stats = %+v", s)
+	}
+	h.Observe(0.004)
+	h.Observe(0.002)
+	h.Observe(0.006)
+	s := h.Stats()
+	if s.Count != 3 || s.Sum != 0.004+0.002+0.006 || s.Min != 0.002 || s.Max != 0.006 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.Mean != 2*time.Millisecond {
-		t.Errorf("mean = %v, want 2ms", s.Mean)
-	}
-	ran := false
-	tm.Time(func() { ran = true })
-	if !ran || tm.Stats().Count != 4 {
-		t.Error("Time did not run or record")
+	h.Observe(-1) // a histogram is not clamped: a negative value is the new min
+	if s := h.Stats(); s.Min != -1 || s.Max != 0.006 {
+		t.Errorf("after a negative observation, min/max = %g/%g", s.Min, s.Max)
 	}
 }
 
@@ -83,7 +83,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < each; i++ {
 				r.Counter("shared").Inc()
 				r.Gauge("g").Set(float64(i))
-				r.Timer("t").Observe(time.Microsecond)
 				r.Histogram("h", []float64{1, 2, 3}).Observe(float64(i % 5))
 				if i%100 == 0 {
 					_ = r.Snapshot()
@@ -96,9 +95,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	if s.Counters["shared"] != workers*each {
 		t.Errorf("counter = %d, want %d", s.Counters["shared"], workers*each)
 	}
-	if s.Timers["t"].Count != workers*each {
-		t.Errorf("timer count = %d", s.Timers["t"].Count)
-	}
 	if s.Histograms["h"].Count != workers*each {
 		t.Errorf("histogram count = %d", s.Histograms["h"].Count)
 	}
@@ -108,7 +104,6 @@ func TestSnapshotResetAndEncoders(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(7)
 	r.Gauge("b.level").Set(1.5)
-	r.Timer("c.phase").Observe(3 * time.Millisecond)
 	r.Histogram("d.sizes", []float64{8, 64}).Observe(9)
 
 	var text strings.Builder
@@ -116,7 +111,7 @@ func TestSnapshotResetAndEncoders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"counter a.count", "7", "gauge   b.level", "1.5",
-		"timer   c.phase", "count=1", "histo   d.sizes", "le(64)=1"} {
+		"histo   d.sizes", "count=1", "le(64)=1"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text encoding missing %q:\n%s", want, text.String())
 		}
@@ -124,7 +119,7 @@ func TestSnapshotResetAndEncoders(t *testing.T) {
 
 	r.Reset()
 	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Timers)+len(s.Histograms) != 0 {
+	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Errorf("after Reset, snapshot = %+v", s)
 	}
 }
