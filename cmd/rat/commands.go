@@ -204,8 +204,8 @@ func cmdSweep(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return cli.WrapUsage(err)
 	}
-	if *steps < 2 || *maxMHz <= *minMHz {
-		return fmt.Errorf("need steps >= 2 and max > min")
+	if *steps < 2 || !(*maxMHz > *minMHz) {
+		return cli.Usagef("need -steps >= 2 and -max > -min")
 	}
 	p, err := load(*file)
 	if err != nil {
@@ -260,14 +260,18 @@ func cmdBounds(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return cli.WrapUsage(err)
 	}
+	u := core.Uncertainty{
+		Alpha: *alpha, OpsPerElement: *ops, ThroughputProc: *proc, Clock: *clock, TSoft: *tsoft,
+	}
+	if err := u.Validate(); err != nil {
+		return cli.WrapUsage(err)
+	}
 	p, err := load(*file)
 	if err != nil {
 		return err
 	}
 	b := buffering(*double)
-	bounds, err := core.PredictBounds(p, core.Uncertainty{
-		Alpha: *alpha, OpsPerElement: *ops, ThroughputProc: *proc, Clock: *clock, TSoft: *tsoft,
-	})
+	bounds, err := core.PredictBounds(p, u)
 	if err != nil {
 		return err
 	}
@@ -292,7 +296,7 @@ func cmdMulti(args []string, out io.Writer) error {
 		return cli.WrapUsage(err)
 	}
 	if *devices < 1 {
-		return fmt.Errorf("need at least one device")
+		return cli.Usagef("need -devices >= 1")
 	}
 	p, err := load(*file)
 	if err != nil {

@@ -149,8 +149,12 @@ func TestSweepCommand(t *testing.T) {
 		!strings.Contains(out, "regime crossover") {
 		t.Errorf("sweep should cross regimes:\n%s", out)
 	}
-	if code, _, _ := runCLI(t, "sweep", "-f", sheet, "-min", "100", "-max", "50"); code != 1 {
-		t.Error("max < min accepted")
+	if code, _, _ := runCLI(t, "sweep", "-f", sheet, "-min", "100", "-max", "50"); code != 2 {
+		t.Error("max < min not a usage error")
+	}
+	missing := filepath.Join(t.TempDir(), "missing.rat")
+	if code, _, errOut := runCLI(t, "sweep", "-f", missing, "-steps", "1"); code != 2 || !strings.Contains(errOut, "-steps") {
+		t.Errorf("one step: exit %d, %s; want a usage error before the worksheet is read", code, errOut)
 	}
 }
 
@@ -165,8 +169,8 @@ func TestBoundsCommand(t *testing.T) {
 			t.Errorf("bounds output missing %q:\n%s", want, out)
 		}
 	}
-	if code, _, _ := runCLI(t, "bounds", "-f", sheet, "-alpha", "2"); code != 1 {
-		t.Error("invalid uncertainty accepted")
+	if code, _, _ := runCLI(t, "bounds", "-f", sheet, "-alpha", "2"); code != 2 {
+		t.Error("invalid uncertainty not a usage error")
 	}
 }
 
@@ -185,8 +189,8 @@ func TestMultiCommand(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "independent-channels") {
 		t.Errorf("independent multi (exit %d):\n%s", code, out)
 	}
-	if code, _, _ := runCLI(t, "multi", "-f", sheet, "-devices", "0"); code != 1 {
-		t.Error("zero devices accepted")
+	if code, _, _ := runCLI(t, "multi", "-f", sheet, "-devices", "0"); code != 2 {
+		t.Error("zero devices not a usage error")
 	}
 }
 

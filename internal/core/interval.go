@@ -29,8 +29,8 @@ type Uncertainty struct {
 	TSoft          float64
 }
 
-// validate rejects nonsense half-widths.
-func (u Uncertainty) validate() error {
+// Validate rejects nonsense half-widths: each must be in [0, 1).
+func (u Uncertainty) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -85,7 +85,7 @@ func corner(p Parameters, u Uncertainty, sign float64) Parameters {
 // monotonicity no interior parameter combination can fall outside
 // [Worst, Best] on any output.
 func PredictBounds(p Parameters, u Uncertainty) (Bounds, error) {
-	if err := u.validate(); err != nil {
+	if err := u.Validate(); err != nil {
 		return Bounds{}, err
 	}
 	nominal, err := Predict(p)

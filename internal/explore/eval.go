@@ -46,10 +46,17 @@ func (c *Compiled) EvalIndices(cons Constraints, indices []uint64) ([]Candidate,
 // reproduces the whole-grid top-K, because the global best k are each
 // in their own shard's best k.
 func SelectTop(obj Objective, k int, cands []Candidate) []Candidate {
-	out := append([]Candidate(nil), cands...)
-	slices.SortFunc(out, func(a, b Candidate) int { return order(obj.better(&a, &b)) })
-	if k >= 0 && len(out) > k {
-		out = out[:k]
+	if len(cands) == 0 {
+		return nil
+	}
+	var buf [permOnStack]int32
+	perm := sortedPerm(cands, buf[:0], obj.compare)
+	if k < 0 || k > len(perm) {
+		k = len(perm)
+	}
+	out := make([]Candidate, k)
+	for i := range out {
+		out[i] = cands[perm[i]]
 	}
 	return out
 }

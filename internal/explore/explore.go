@@ -119,6 +119,9 @@ func (o Objective) better(a, b *Candidate) bool {
 	return a.Index < b.Index
 }
 
+// compare is better as a three-way comparison, for sorting.
+func (o Objective) compare(a, b *Candidate) int { return order(o.better(a, b)) }
+
 // worseValue reports whether pt's objective value is strictly worse
 // than c's, index aside. It serves the objectives that rank by a
 // number, MaxSpeedup and MinTRC.
@@ -431,7 +434,7 @@ func merge(states []workerState, k int, obj Objective, frontier bool) Result {
 		res.Feasible += states[i].feasible
 		merged = append(merged, states[i].top.items...)
 	}
-	slices.SortFunc(merged, func(a, b Candidate) int { return order(obj.better(&a, &b)) })
+	sortCandidates(merged, obj.compare)
 	if len(merged) > k {
 		merged = merged[:k]
 	}

@@ -72,7 +72,7 @@ func mergeFrontiers(states []workerState) []Candidate {
 			front = insertFrontier(front, &states[i].front[j])
 		}
 	}
-	slices.SortFunc(front, byIndex)
+	sortCandidates(front, byIndex)
 	return front
 }
 
@@ -84,9 +84,47 @@ func Frontier(cands []Candidate) []Candidate {
 	for i := range cands {
 		front = insertFrontier(front, &cands[i])
 	}
-	slices.SortFunc(front, byIndex)
+	sortCandidates(front, byIndex)
 	return front
 }
 
 // byIndex orders candidates by grid index.
-func byIndex(a, b Candidate) int { return cmp.Compare(a.Index, b.Index) }
+func byIndex(a, b *Candidate) int { return cmp.Compare(a.Index, b.Index) }
+
+// sortCandidates sorts cands by the total order cmp. It sorts a
+// permutation of int32 indices and then moves each Candidate once:
+// sorting the Candidates themselves copies two of them per comparison
+// and three per swap.
+func sortCandidates(cands []Candidate, cmp func(a, b *Candidate) int) {
+	var buf [permOnStack]int32
+	perm := sortedPerm(cands, buf[:0], cmp)
+	// Cycle by cycle, cands[i] takes the Candidate at perm[i]; a placed
+	// position's entry becomes -1.
+	for i := range perm {
+		j := int(perm[i])
+		if j < 0 || j == i {
+			continue
+		}
+		held, k := cands[i], i
+		for j != i {
+			cands[k], perm[k] = cands[j], -1
+			k, j = j, int(perm[j])
+		}
+		cands[k], perm[k] = held, -1
+	}
+}
+
+// permOnStack is the longest permutation the sorts keep on the stack;
+// a longer one is allocated.
+const permOnStack = 256
+
+// sortedPerm returns, in perm's storage, the indices of cands in the
+// order cmp sorts them.
+func sortedPerm(cands []Candidate, perm []int32, cmp func(a, b *Candidate) int) []int32 {
+	perm = perm[:0]
+	for i := range cands {
+		perm = append(perm, int32(i))
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return cmp(&cands[a], &cands[b]) })
+	return perm
+}

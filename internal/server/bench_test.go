@@ -298,9 +298,10 @@ func batchHarness(body []byte) *predictHarness {
 
 // BenchmarkServerBatch measures one default-config POST
 // /v1/predict/batch of 256 worksheets in process, JSON both ways: body
-// read, wire decode, the batch kernel, wire encode (20 floats per
-// worksheet), write. It replays one body whose worksheets carry the
-// three case-study names, so every name hits the intern table. Not
+// read, wire decode, the batch kernel, wire encode, write. It replays
+// one json.Marshal body whose worksheets carry the three case-study
+// names, so every worksheet takes the straight pass and its answer
+// echoes the worksheet's bytes (12 floats rendered per worksheet). Not
 // gated.
 func BenchmarkServerBatch(b *testing.B) {
 	ph := batchHarness(batchPayload(b))
@@ -314,8 +315,8 @@ func BenchmarkServerBatch(b *testing.B) {
 
 // BenchmarkServerBatchUniqueNames is BenchmarkServerBatch over
 // batch-bulk's name traffic: it cycles 64 bodies whose 16,384
-// worksheets each carry a name of their own, so every name misses the
-// 1,024-name intern table and the table keeps filling up. Not gated.
+// worksheets each carry a name of their own. Names are views of the
+// request body, so a new name costs no allocation. Not gated.
 func BenchmarkServerBatchUniqueNames(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	bodies := make([][]byte, 64)
@@ -344,16 +345,52 @@ func BenchmarkServerBatchUniqueNames(b *testing.B) {
 
 // BenchmarkServerBatchFoldedKeys is BenchmarkServerBatch with every
 // member name upper-cased ("CLOCK_MHZ"), which encoding/json matches by
-// case folding: no key matches by its bytes, so each takes the general
-// string path after the byte match misses. It bounds what a miss
-// costs. Not gated.
+// case folding: the straight pass misses at the first key, and no key
+// matches by its bytes, so each takes the general string path after
+// the byte match misses. It bounds what a miss costs. Not gated.
 func BenchmarkServerBatchFoldedKeys(b *testing.B) {
-	plain := batchHarness(batchPayload(b))
+	benchBatchVariant(b, regexp.MustCompile(`"[a-z_]+":`).ReplaceAllFunc(batchPayload(b), bytes.ToUpper))
+}
+
+// BenchmarkServerBatchIndented is BenchmarkServerBatch over the same
+// worksheets written by json.MarshalIndent: the straight pass misses
+// at the first byte of the first worksheet, and the whole body takes
+// the general decoder and renders every answer. Not gated.
+func BenchmarkServerBatchIndented(b *testing.B) {
+	body, err := json.MarshalIndent(batchDocs(rand.New(rand.NewSource(7))), "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchBatchVariant(b, body)
+}
+
+// BenchmarkServerBatchLateMiss is BenchmarkServerBatch with every
+// worksheet in json.Marshal's layout up to its last float,
+// tsoft_seconds, written with a trailing zero ("0.50"): the straight
+// pass reads the first worksheet almost to its end before it misses,
+// which is the most a body can waste, since the rest of the body then
+// takes the general decoder. Not gated.
+func BenchmarkServerBatchLateMiss(b *testing.B) {
+	docs := batchDocs(rand.New(rand.NewSource(7)))
+	for i := range docs {
+		docs[i].Soft.TSoftSeconds = 0.5
+	}
+	benchBatchVariant(b, bytes.ReplaceAll(marshalBatch(b, docs), []byte(`"tsoft_seconds":0.5,`), []byte(`"tsoft_seconds":0.50,`)))
+}
+
+// benchBatchVariant times the batch body, after checking that it is
+// answered as json.Marshal's spelling of the same worksheets is.
+func benchBatchVariant(b *testing.B, body []byte) {
+	var docs []worksheet.Doc
+	if err := json.Unmarshal(body, &docs); err != nil {
+		b.Fatal(err)
+	}
+	plain := batchHarness(marshalBatch(b, docs))
 	plain.run(b)
-	ph := batchHarness(regexp.MustCompile(`"[a-z_]+":`).ReplaceAllFunc(batchPayload(b), bytes.ToUpper))
+	ph := batchHarness(body)
 	ph.warm(b)
 	if !bytes.Equal(ph.w.buf, plain.w.buf) {
-		b.Fatal("folded keys change the batch answer")
+		b.Fatal("the spelling changes the batch answer")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

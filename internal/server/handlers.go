@@ -33,62 +33,32 @@ func httpStatus(err error) int {
 	}
 }
 
-// maxInternedNames bounds the per-scratch worksheet-name intern table;
-// a vocabulary churning past it empties the table in place rather than
-// growing without bound.
-const maxInternedNames = 1024
-
 // maxBodyBytes caps request bodies on every POST endpoint; a larger
 // body is the caller's fault (400).
 const maxBodyBytes = 1 << 20
 
 // scratch is the pooled per-request working set of the predict, batch
-// and explore paths: the body read buffer, the cache-key buffer, the
-// response build buffer and the worksheet-name intern table. One Get
-// covers a whole request; nothing in it survives the handler.
+// and explore paths: the body read buffer, the cache-key buffer and
+// the response build buffer. One Get covers a whole request; nothing
+// in it survives the handler.
+//
+// The decoders take worksheet names as views of body (wire.View), so
+// a name lives exactly as long as the body it points into: every
+// answer is rendered, and any cache entry copied, before the scratch
+// goes back to the pool.
 type scratch struct {
 	body []byte
 	key  []byte
 	out  []byte
-
-	names map[string]string
-	// internFn is the bound method value of intern, created once per
-	// scratch so handing it to the decoder does not allocate a closure
-	// per request.
-	internFn func([]byte) string
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	sc := &scratch{
+	return &scratch{
 		body: make([]byte, 0, 4096),
 		key:  make([]byte, 0, 1024),
 		out:  make([]byte, 0, 2048),
 	}
-	sc.internFn = sc.intern
-	return sc
 }}
-
-// intern returns the string form of a worksheet name, reusing the
-// previously allocated string for repeat names — the steady-state
-// traffic pattern (the same few worksheets asked about over and over)
-// decodes names with zero allocations.
-func (sc *scratch) intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := sc.names[string(b)]; ok { // no-alloc map lookup
-		return s
-	}
-	switch {
-	case sc.names == nil:
-		sc.names = make(map[string]string, 8)
-	case len(sc.names) >= maxInternedNames:
-		clear(sc.names) // keeps the buckets: a churning vocabulary does not regrow the map
-	}
-	s := string(b)
-	sc.names[s] = s
-	return s
-}
 
 // readBody slurps the request body into the pooled buffer, enforcing
 // maxBodyBytes. An oversized or unreadable body is the caller's fault:
@@ -215,9 +185,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var p core.Parameters
 	var err error
 	if binReq {
-		p, err = wire.DecodeBinaryWorksheet(body, sc.internFn)
+		p, err = wire.DecodeBinaryWorksheet(body, wire.View)
 	} else {
-		p, err = wire.DecodeWorksheetIntern(body, sc.internFn)
+		p, err = wire.DecodeWorksheetIntern(body, wire.View)
 	}
 	if err != nil {
 		writeError(w, httpStatus(err), err)
@@ -284,15 +254,29 @@ func appendPrediction(out []byte, mp *core.MultiPrediction, multi, binary bool) 
 }
 
 // slab is the pooled parameter/prediction storage of one
-// /v1/predict/batch request.
+// /v1/predict/batch request, with the byte span of each JSON element
+// that the answer echoes.
 type slab struct {
-	ps  []core.Parameters
-	out []core.Prediction
+	ps    []core.Parameters
+	spans []wire.Span
+	out   []core.Prediction
 }
 
 // batchSlabs pools the slabs behind /v1/predict/batch so steady-state
 // batch serving reuses storage rather than allocating per request.
 var batchSlabs = sync.Pool{New: func() any { return &slab{} }}
+
+// put returns sl to batchSlabs without its worksheet names: they are
+// views of a request body that the next request overwrites.
+func (sl *slab) put() {
+	for i := range sl.ps {
+		sl.ps[i].Name = ""
+	}
+	for i := range sl.out {
+		sl.out[i].Params.Name = ""
+	}
+	batchSlabs.Put(sl)
+}
 
 // handleBatch serves POST /v1/predict/batch: an array of worksheets —
 // JSON by default, one binary frame with Content-Type:
@@ -310,13 +294,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sl := batchSlabs.Get().(*slab)
-	defer batchSlabs.Put(sl)
+	defer sl.put()
 	var err error
-	sl.ps = sl.ps[:0]
+	sl.ps, sl.spans = sl.ps[:0], sl.spans[:0]
 	if r.Header.Get("Content-Type") == wire.ContentTypeBinary {
-		sl.ps, err = wire.DecodeBinaryWorksheetBatch(body, sl.ps, sc.internFn)
+		sl.ps, err = wire.DecodeBinaryWorksheetBatch(body, sl.ps, wire.View)
 	} else {
-		sl.ps, err = wire.DecodeWorksheetDocs(body, sl.ps, sc.internFn)
+		sl.ps, sl.spans, err = wire.DecodeWorksheetDocsSpans(body, sl.ps, sl.spans, wire.View)
 	}
 	if err == nil && len(sl.ps) == 0 {
 		err = fmt.Errorf("%w: batch is empty", core.ErrInvalidParameters)
@@ -364,7 +348,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if binResp {
 		sc.out = wire.AppendBinaryPredictions(sc.out, sl.out)
 	} else {
-		sc.out, err = wire.AppendPredictions(sc.out, sl.out)
+		sc.out, err = wire.AppendPredictionsEcho(sc.out, sl.out, body, sl.spans)
 	}
 	clk.stop(obs.StageEncode)
 	if err != nil {

@@ -242,24 +242,59 @@ func TestPredictBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestInternBounded: a churning vocabulary never leaves more than
-// maxInternedNames names in a scratch's table, every name interns to
-// itself, and a repeated name costs no allocation.
-func TestInternBounded(t *testing.T) {
-	sc := &scratch{}
-	for i := 0; i < 3*maxInternedNames; i++ {
-		name := fmt.Sprintf("batch-bulk/pdf1d/%d", i)
-		if got := sc.intern([]byte(name)); got != name {
-			t.Fatalf("intern(%q) = %q", name, got)
-		}
-		if len(sc.names) > maxInternedNames {
-			t.Fatalf("after %d names the table holds %d, want at most %d", i+1, len(sc.names), maxInternedNames)
-		}
+// TestBatchSlabHoldsNoNames: the batch decoders take worksheet names
+// as views of the pooled request body, so a slab back in its pool must
+// hold none of them, in its parameters or its predictions, JSON and
+// binary alike.
+func TestBatchSlabHoldsNoNames(t *testing.T) {
+	h := New(Config{}).Handler()
+	ps := []core.Parameters{paper.PDF1DParams(), paper.PDF2DParams(), paper.MDParams()}
+	docs := make([]worksheet.Doc, len(ps))
+	for i, p := range ps {
+		docs[i] = worksheet.DocFromParams(p)
 	}
-	repeat := []byte("1-D PDF estimation")
-	sc.intern(repeat)
-	if allocs := testing.AllocsPerRun(100, func() { sc.intern(repeat) }); allocs != 0 {
-		t.Errorf("interning a repeated name allocates %.1f times, want 0", allocs)
+	jsonBody, err := json.Marshal(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body        []byte
+		contentType string
+	}{
+		{jsonBody, "application/json"},
+		{wire.AppendBinaryWorksheets(nil, ps), wire.ContentTypeBinary},
+	} {
+		checked := false
+		// The pool may drop what it is given (the race detector makes
+		// it drop a quarter of it), so retry until it hands the used
+		// slab back.
+		for attempt := 0; attempt < 20 && !checked; attempt++ {
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(tc.body))
+			req.Header.Set("Content-Type", tc.contentType)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s batch: status %d: %s", tc.contentType, rec.Code, rec.Body)
+			}
+			sl := batchSlabs.Get().(*slab)
+			if cap(sl.ps) >= len(ps) {
+				checked = true
+				for i, p := range sl.ps[:cap(sl.ps)] {
+					if p.Name != "" {
+						t.Errorf("%s batch: pooled slab keeps name %q at parameter %d", tc.contentType, p.Name, i)
+					}
+				}
+				for i, pr := range sl.out[:cap(sl.out)] {
+					if pr.Params.Name != "" {
+						t.Errorf("%s batch: pooled slab keeps name %q at prediction %d", tc.contentType, pr.Params.Name, i)
+					}
+				}
+			}
+			batchSlabs.Put(sl)
+		}
+		if !checked {
+			t.Errorf("%s batch: the pool never handed back a used slab", tc.contentType)
+		}
 	}
 }
 

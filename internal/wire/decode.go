@@ -5,8 +5,16 @@
 // compact binary frame format (application/x-rat-bin) negotiated via
 // Content-Type/Accept for bulk traffic.
 //
-// The JSON decoder is a cursor over the request body (jsonDecoder)
-// with one implementation of each JSON construct:
+// The JSON decoder is a cursor over the request body (jsonDecoder).
+// A worksheet, alone or as a batch element, is first read by the
+// straight pass (canonical.go), which takes only the layout
+// json.Marshal(worksheet.Doc) writes: every member literal matched in
+// one comparison, every number its own shortest form, the name as
+// appendString would write it, and MB/s and MHz values that
+// DocFromParams gives back bit for bit. At the first byte that differs
+// it resets and the general decoder below reads the element; in a
+// batch, the rest of the body too. The general decoder stays the
+// reference, with one implementation of each JSON construct:
 //
 //   - One object loop, decodeWorksheet, reads the worksheet and each of
 //     its four groups (dataset, communication, computation, software);
@@ -22,11 +30,10 @@
 //     by its bytes, without a string scan; any other key takes
 //     scanString, unquoting when needed, and matchField's
 //     exact-then-folded comparison.
-//   - One string decoder, valueString, which interns through the
-//     caller's interner when there is one. ratd's interner keeps at
-//     most 1,024 names per pooled request scratch and empties the
-//     table in place when it is full, so a vocabulary that keeps
-//     changing neither grows the table nor makes it regrow.
+//   - One string decoder, valueString, which turns a name into a
+//     string through the caller's function when there is one. ratd
+//     passes View, so names are read in place: they point into the
+//     pooled request body, which outlives every use of them.
 //   - One number scan, scanNumber, which gathers up to 19 significant
 //     digits while it checks the grammar. valueFloat64 takes Clinger's
 //     exact fast path from them and valueInteger takes an integer of up
@@ -37,6 +44,12 @@
 // encoding/json pin every decoder: FuzzWireDecodeParity,
 // FuzzWorksheetDocsParity, FuzzExploreRequestParity and
 // FuzzFloatTokenParity.
+//
+// A batch element the straight pass took is already json.Marshal's
+// rendering of its answer's worksheet, so DecodeWorksheetDocsSpans
+// returns its byte span and AppendPredictionsEcho copies those bytes
+// instead of rendering eight floats, three integers and the name
+// again. FuzzBatchEchoParity pins the echoed answer to json.Marshal.
 //
 // The decoder and encoder work over caller-provided byte slices so the
 // server can thread pooled buffers through a whole request: a
@@ -64,6 +77,13 @@ import (
 // handed to strconv parsers, which do not retain it, so the backing
 // bytes cannot be mutated while a reference is live.
 func bstr(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// View returns b as a string that shares b's bytes, for a decoder's
+// name argument: the worksheet names it decodes then point into the
+// request body instead of being copied out of it. The caller must
+// neither change b nor reuse its buffer while any name is still in
+// use.
+func View(b []byte) string { return bstr(b) }
 
 var errUnexpectedEnd = errors.New("unexpected end of JSON input")
 
@@ -126,18 +146,21 @@ func DecodeWorksheet(data []byte) (core.Parameters, error) {
 }
 
 // DecodeWorksheetIntern is DecodeWorksheet with a caller-supplied
-// string interner for the worksheet name, letting a pooled caller
-// decode repeat worksheets without allocating the name. A nil intern
-// falls back to a plain string conversion.
+// function that turns the worksheet name's bytes into a string, such
+// as View, letting a pooled caller decode without allocating the
+// name. A nil intern falls back to a plain string conversion.
 //
 //rat:hotpath
 func DecodeWorksheetIntern(data []byte, intern func([]byte) string) (core.Parameters, error) {
 	d := jsonDecoder{data: data, intern: intern}
-	var doc worksheet.Doc
-	if err := d.decodeWorksheet(objWorksheet, &doc); err != nil {
-		return core.Parameters{}, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
+	var p core.Parameters
+	if !d.canonical(&p) {
+		var doc worksheet.Doc
+		if err := d.decodeWorksheet(objWorksheet, &doc); err != nil {
+			return core.Parameters{}, fmt.Errorf("%w: %v", worksheet.ErrSyntax, err)
+		}
+		p = doc.Params()
 	}
-	p := doc.Params()
 	if err := p.Validate(); err != nil {
 		return core.Parameters{}, err
 	}
@@ -155,14 +178,47 @@ func DecodeWorksheetIntern(data []byte, intern func([]byte) string) (core.Parame
 //
 //rat:hotpath
 func DecodeWorksheetDocs(data []byte, params []core.Parameters, intern func([]byte) string) ([]core.Parameters, error) {
+	return decodeDocs(data, params, nil, intern)
+}
+
+// DecodeWorksheetDocsSpans is DecodeWorksheetDocs that also appends
+// one Span per element to spans: the element's bytes in data when the
+// straight pass took it, which AppendPredictionsEcho copies as the
+// answer's worksheet, and the zero Span when it did not. Once one
+// element misses the straight pass, the rest of the body goes to the
+// general decoder, so a body in another layout costs at most one
+// wasted pass.
+//
+//rat:hotpath
+func DecodeWorksheetDocsSpans(data []byte, params []core.Parameters, spans []Span, intern func([]byte) string) ([]core.Parameters, []Span, error) {
+	params, err := decodeDocs(data, params, &spans, intern)
+	return params, spans, err
+}
+
+// decodeDocs is the batch decoder, appending spans when spans is not
+// nil.
+func decodeDocs(data []byte, params []core.Parameters, spans *[]Span, intern func([]byte) string) ([]core.Parameters, error) {
 	d := jsonDecoder{data: data, intern: intern}
 	_, more, err := d.open('[')
+	straight := true
 	for more && err == nil {
-		var doc worksheet.Doc
-		if err = d.decodeWorksheet(objWorksheet, &doc); err != nil {
-			break
+		d.skipSpace()
+		var p core.Parameters
+		var span Span
+		if lo := d.pos; straight && d.canonical(&p) {
+			span = Span{Lo: lo, Hi: d.pos}
+		} else {
+			straight = false
+			var doc worksheet.Doc
+			if err = d.decodeWorksheet(objWorksheet, &doc); err != nil {
+				break
+			}
+			p = doc.Params()
 		}
-		params = append(params, doc.Params())
+		params = append(params, p)
+		if spans != nil {
+			*spans = append(*spans, span)
+		}
 		more, err = d.next('[')
 	}
 	if err != nil {
@@ -420,12 +476,17 @@ func (d *jsonDecoder) valueString(dst *string) error {
 	if !clean {
 		raw = unquoteAppend(make([]byte, 0, len(raw)), raw)
 	}
-	if d.intern != nil {
-		*dst = d.intern(raw)
-	} else {
-		*dst = string(raw)
-	}
+	*dst = d.str(raw)
 	return nil
+}
+
+// str turns decoded string bytes into a string, through the caller's
+// intern function when there is one.
+func (d *jsonDecoder) str(b []byte) string {
+	if d.intern != nil {
+		return d.intern(b)
+	}
+	return string(b)
 }
 
 // scanString validates one string literal per the JSON grammar
@@ -642,10 +703,9 @@ func (d *jsonDecoder) scanNumber() (n number, err error) {
 
 // literal consumes the literal lit: null, true or false.
 func (d *jsonDecoder) literal(lit string) error {
-	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
+	if !d.lit(lit) {
 		return fmt.Errorf("invalid literal at offset %d (expected %s)", d.pos, lit)
 	}
-	d.pos += len(lit)
 	return nil
 }
 

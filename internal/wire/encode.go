@@ -27,7 +27,7 @@ func AppendPrediction(dst []byte, p *api.Prediction) ([]byte, error) {
 	if !finitePrediction(p) {
 		return dst, errNonFinite
 	}
-	return appendPrediction(dst, p), nil
+	return appendPrediction(dst, p, nil), nil
 }
 
 // AppendPredictions appends the JSON array json.Marshal would produce
@@ -37,6 +37,18 @@ func AppendPrediction(dst []byte, p *api.Prediction) ([]byte, error) {
 //
 //rat:hotpath
 func AppendPredictions(dst []byte, prs []core.Prediction) ([]byte, error) {
+	return AppendPredictionsEcho(dst, prs, nil, nil)
+}
+
+// AppendPredictionsEcho is AppendPredictions for the answers to a
+// batch that DecodeWorksheetDocsSpans decoded from body into spans:
+// where an element's span is set, its bytes are already json.Marshal's
+// rendering of that answer's worksheet, and they are copied instead of
+// rendered again. prs[i] must be the prediction for element i;
+// FuzzBatchEchoParity pins the result to json.Marshal.
+//
+//rat:hotpath
+func AppendPredictionsEcho(dst []byte, prs []core.Prediction, body []byte, spans []Span) ([]byte, error) {
 	n0 := len(dst)
 	dst = append(dst, '[')
 	for i := range prs {
@@ -47,7 +59,11 @@ func AppendPredictions(dst []byte, prs []core.Prediction) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendPrediction(dst, &p)
+		var doc []byte
+		if i < len(spans) {
+			doc = body[spans[i].Lo:spans[i].Hi]
+		}
+		dst = appendPrediction(dst, &p, doc)
 	}
 	return append(dst, ']'), nil
 }
@@ -67,7 +83,7 @@ func AppendMultiPrediction(dst []byte, mp *api.MultiPrediction) ([]byte, error) 
 	dst = append(dst, `,"topology":`...)
 	dst = appendString(dst, mp.Topology)
 	dst = append(dst, `,"single":`...)
-	dst = appendPrediction(dst, &mp.Single)
+	dst = appendPrediction(dst, &mp.Single, nil)
 	dst = append(dst, `,"t_comm_seconds":`...)
 	dst = appendFloat(dst, mp.TCommSeconds)
 	dst = append(dst, `,"t_comp_seconds":`...)
@@ -109,10 +125,15 @@ func finite7(a, b, c, d, e, f, g float64) bool {
 		math.IsNaN(g) || math.IsInf(g, 0))
 }
 
-// appendPrediction appends p with all floats pre-checked finite.
-func appendPrediction(dst []byte, p *api.Prediction) []byte {
+// appendPrediction appends p with all floats pre-checked finite. A
+// non-empty doc is the worksheet's JSON, copied as it is.
+func appendPrediction(dst []byte, p *api.Prediction, doc []byte) []byte {
 	dst = append(dst, `{"worksheet":`...)
-	dst = appendDoc(dst, p)
+	if len(doc) > 0 {
+		dst = append(dst, doc...)
+	} else {
+		dst = appendDoc(dst, p)
+	}
 	dst = append(dst, `,"t_write_seconds":`...)
 	dst = appendFloat(dst, p.TWriteSeconds)
 	dst = append(dst, `,"t_read_seconds":`...)
